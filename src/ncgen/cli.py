@@ -13,6 +13,7 @@ The environment variable NCGEN_MAX_DEPTH caps every depth-like argument.
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -57,10 +58,29 @@ def _emit(args, payload, text_lines=None):
             print(line)
 
 
+def _number(kind, ok, rule):
+    """argparse type: kind(text), rejected with the rule unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("%s, got %s" % (rule, text))
+        return value
+    parse.__name__ = kind.__name__  # argparse reports "invalid int value"
+    return parse
+
+
+_POSITIVE = _number(int, lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE = _number(int, lambda v: v >= 0, "must be >= 0")
+_FINITE = _number(float, math.isfinite, "must be finite")
+
+
 def _depth_cap(args):
     cap = os.environ.get("NCGEN_MAX_DEPTH")
     if not cap:
         return
+    if not cap.isdigit() or int(cap) < 1:
+        raise CLIError("NCGEN_MAX_DEPTH must be a positive integer, got %r"
+                       % cap)
     cap = int(cap)
     for attr in ("depth", "max_len", "max_weight", "max_n"):
         val = getattr(args, attr, None)
@@ -174,25 +194,6 @@ def _terms_to_poly(terms, alphabet):
 # ---------------------------------------------------------------------------
 # verify
 
-def _grouplike_err(series, product, depth):
-    from ncgen.ncpoly import shuffle_words, stuffle_words, words_up_to
-    from ncgen.words import weight
-    word_product = {"shuffle": shuffle_words, "stuffle": stuffle_words}[product]
-    ws = words_up_to(series.alphabet, depth)
-    worst = 0.0
-    for u in ws:
-        du = weight(u, series.alphabet)
-        for v in ws:
-            if du + weight(v, series.alphabet) > depth:
-                continue
-            # keep Fractions exact; only the final error becomes a float
-            lhs = series.coeff(u) * series.coeff(v)
-            rhs = sum(c * series.coeff(w)
-                      for w, c in word_product(u, v).items())
-            worst = max(worst, abs(float(lhs - rhs)))
-    return worst
-
-
 def verify_duality(args):
     from ncgen import hopf
     from ncgen.ncpoly import words_up_to
@@ -212,12 +213,13 @@ def verify_duality(args):
 
 
 def verify_grouplike(args):
+    from ncgen.ncpoly import grouplike_err
     from ncgen.polylog import harmonic_series
     from ncgen.renorm import z_shuffle_series, z_stuffle_series
     depth = args.depth or 4
-    h_err = _grouplike_err(harmonic_series(10, depth), "stuffle", depth)
-    zsh_err = _grouplike_err(z_shuffle_series(depth), "shuffle", depth)
-    zst_err = _grouplike_err(z_stuffle_series(depth), "stuffle", depth)
+    h_err = float(grouplike_err(harmonic_series(10, depth), "stuffle", depth))
+    zsh_err = float(grouplike_err(z_shuffle_series(depth), "shuffle", depth))
+    zst_err = float(grouplike_err(z_stuffle_series(depth), "stuffle", depth))
     worst = max(h_err, zsh_err, zst_err)
     return {"identity": "grouplike", "depth": depth,
             "harmonic_err": h_err, "z_shuffle_err": zsh_err,
@@ -332,12 +334,12 @@ def cmd_verify(args):
 def cmd_eval(args):
     if args.which == "li":
         from ncgen.polylog import polylog_eval
-        word, _ = _parse_word(args.word)
+        word, alphabet = _parse_word(args.word)
         if args.z is None:
             raise CLIError("li needs --z")
         try:
-            value, tail = polylog_eval(word, args.z, terms=args.terms)
-        except ValueError as exc:
+            value, tail = polylog_eval(word, args.z, args.terms, alphabet)
+        except (ValueError, OverflowError) as exc:
             raise CLIError(str(exc)) from None
         payload = {"word": args.word, "z": args.z, "terms": args.terms,
                    "value": value, "tail_bound": tail}
@@ -347,12 +349,12 @@ def cmd_eval(args):
         return 0
 
     if args.which == "hneg":
-        from ncgen.negpolylog import h_neg, h_neg_value
+        from ncgen.negpolylog import h_neg
         word, alphabet = _parse_word(args.word)
         if alphabet == X:
             raise CLIError("hneg expects a Y/Y0 word such as 'y2 y1'")
         if args.n is not None:
-            val = h_neg_value(word, args.n)
+            val = h_neg(word).eval(args.n)
             payload = {"word": args.word, "n": args.n, "value": str(val)}
             _emit(args, payload,
                   lambda p: ["H^-_{%s}(%d) = %s" % (p["word"], p["n"],
@@ -390,7 +392,11 @@ def cmd_simulate(args):
         payload = {"mode": "forms", "z0": z0, "z": args.z,
                    "depth": depth, "output": y}
     elif args.T is not None:
-        controls = tuple(float(c) for c in args.controls.split(","))
+        try:
+            controls = tuple(_FINITE(c) for c in args.controls.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise CLIError("bad --controls %r: want finite numbers, "
+                           "comma-separated" % args.controls) from None
         if len(controls) < len(system.fields):
             raise CLIError("need %d controls" % len(system.fields))
         chen = chen_drift(args.T, depth, controls)
@@ -413,46 +419,46 @@ def build_parser():
                     "algebras, polylogarithms, harmonic sums, and "
                     "truncated Chen/Fliess series.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--precision", type=int, default=12)
+    parser.add_argument("--precision", type=_POSITIVE, default=12)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lyndon", help="enumerate Lyndon words")
     p.add_argument("--alphabet", choices=(X, Y, Y0), default=X)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=None)
+    p.add_argument("--max-len", type=_POSITIVE, default=None)
+    p.add_argument("--max-weight", type=_POSITIVE, default=None)
     p.set_defaults(func=cmd_lyndon)
 
     p = sub.add_parser("table", help="reference tables")
     p.add_argument("which", choices=("dual-bases", "pi-sigma", "cminus",
                                      "eulerian"))
     p.add_argument("--alphabet", choices=(X, Y), default=X)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-len", type=_POSITIVE, default=None)
+    p.add_argument("--max-weight", type=_POSITIVE, default=None)
+    p.add_argument("--max-n", type=_POSITIVE, default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="identity checks (JSON report)")
     p.add_argument("which", choices=sorted(VERIFIERS))
     p.add_argument("--alphabet", choices=(X, Y), default=X)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=_POSITIVE, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate quantities")
     p.add_argument("which", choices=("li", "hneg"))
     p.add_argument("--word", required=True)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--terms", type=int, default=400)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--z", type=_FINITE, default=None)
+    p.add_argument("--terms", type=_POSITIVE, default=400)
+    p.add_argument("--n", type=_NONNEGATIVE, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="truncated Chen/Fliess output")
     p.add_argument("--system", required=True)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--z0", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--z", type=_FINITE, default=None)
+    p.add_argument("--z0", type=_FINITE, default=None)
+    p.add_argument("--T", type=_FINITE, default=None)
     p.add_argument("--controls", default="1.0,0.0")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_POSITIVE, default=8)
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -350,18 +350,16 @@ def words_up_to(alphabet, degree):
     return out
 
 
-def is_grouplike(S, product, depth, tol=0):
-    """Friedrichs test: <S|u><S|v> = <S|u*v> for all u,v of combined degree <= depth.
+def grouplike_err(S, product, depth):
+    """Friedrichs defect: max |<S|u><S|v> - <S|u*v>|, deg u + deg v <= depth.
 
     S is anything with .coeff(word) and .alphabet (NCPoly, truncated series).
-    product: "shuffle" or "stuffle".  tol=0 demands exact equality; a float
-    tolerance compares absolute differences (for numeric series).
+    product: "shuffle" or "stuffle".  Exact when the coefficients are
+    Fractions.
     """
-    one = S.coeff(())
-    if one != 1:
-        return False
     word_product = {"shuffle": shuffle_words, "stuffle": stuffle_words}[product]
     ws = words_up_to(S.alphabet, depth)
+    worst = 0
     for u in ws:
         du = weight(u, S.alphabet)
         for v in ws:
@@ -369,12 +367,13 @@ def is_grouplike(S, product, depth, tol=0):
                 continue
             lhs = S.coeff(u) * S.coeff(v)
             rhs = sum(c * S.coeff(w) for w, c in word_product(u, v).items())
-            if tol == 0:
-                if lhs != rhs:
-                    return False
-            elif abs(lhs - rhs) > tol:
-                return False
-    return True
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def is_grouplike(S, product, depth, tol=0):
+    """<S|1> = 1 and grouplike_err <= tol (0: exact; a float for numeric S)."""
+    return S.coeff(()) == 1 and grouplike_err(S, product, depth) <= tol
 
 
 # ---------------------------------------------------------------------------

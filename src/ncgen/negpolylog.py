@@ -25,6 +25,8 @@ only differs from H^- when the last shifted exponent is 0.
 from fractions import Fraction
 from math import comb, factorial
 
+from ncgen.polylog import nested_sum
+
 _ZERO = Fraction(0)
 
 
@@ -170,22 +172,9 @@ def p_neg_z_coefficient(w, N):
 # ---------------------------------------------------------------------------
 # harmonic sums at negative indices
 
-_h_brute_memo = {}
-
-
 def h_neg_value(w, N):
     """Literal nested sum: sum over N >= n1 > ... > nr >= 1 of prod n_i^{s_i}."""
-    w = tuple(w)
-    if not w:
-        return Fraction(1)
-    if N <= 0:
-        return Fraction(0)
-    key = (w, N)
-    got = _h_brute_memo.get(key)
-    if got is None:
-        got = h_neg_value(w, N - 1) + N ** w[0] * h_neg_value(w[1:], N - 1)
-        _h_brute_memo[key] = got
-    return got
+    return nested_sum(w, N)
 
 
 def _lagrange(points):

@@ -1,9 +1,12 @@
-"""Harmonic sums H_w(N) and polylogarithms Li_w(z) at positive indices.
+"""Nested sums, harmonic sums H_w(N) and polylogarithms Li_w(z).
 
-H is exact: H_{y_k u}(N) - H_{y_k u}(N-1) = N^(-k) H_u(N-1), H at the
-empty word is 1, and H_w(N) = 0 for N < |w| (not enough strictly
-decreasing summation indices).  Li_w(z) is evaluated as the partial sum
-of sum_N [H_w(N) - H_w(N-1)] z^N with a crude geometric tail bound.
+One engine computes S_e(N) = sum_{N >= n1 > ... > nr >= 1} n1^e1 ... nr^er
+over integer exponents, exactly (nested_sum) or in floats
+(nested_sum_array), by sweeping S_e(n) = S_e(n-1) + n^e1 S_{e[1:]}(n-1)
+forward in n, one letter at a time from the right (S = 1 at the empty
+word, so S_e(n) = 0 for n < |e|).  H_w is S at exponents -w, H^-_w
+(negpolylog) at +w; y0 is exponent 0.  Li_w(z) is the partial sum of
+sum_N [H_w(N) - H_w(N-1)] z^N with a crude geometric tail bound.
 
 The second half is the symbolic operator algebra on finite combinations
 sum c_w(z) Li_w(z), with coefficients c_w in Q[z, 1/z, 1/(1-z)]
@@ -21,42 +24,55 @@ linear over constants).
 
 from fractions import Fraction
 
-import numpy as np
-
 from ncgen.ncpoly import NCPoly
 from ncgen.words import X, Y, pi_y_word
 
-_harmonic_memo = {}
+_columns = {}  # exponent word e -> [S_e(0), S_e(1), ...], grown on demand
+
+
+def nested_sum(e, N):
+    """Exact S_e(N) as a Fraction, for a word e of integer exponents."""
+    e = tuple(e)
+    if not e:
+        return Fraction(1)
+    if N < len(e):
+        return Fraction(0)
+    tail = None
+    for i in range(len(e) - 1, -1, -1):
+        col = _columns.setdefault(e[i:], [0])
+        k = e[i]
+        for n in range(len(col), N - i + 1):
+            t = 1 if tail is None else tail[n - 1]
+            step = t * n ** k if k >= 0 else Fraction(t, n ** -k)
+            col.append(col[-1] + step)
+        tail = col
+    return Fraction(tail[N])
+
+
+def nested_sum_array(e, N):
+    """Float S_e(n) for n = 0..N as a numpy array (for large N)."""
+    import numpy as np  # here, so the exact side loads without numpy
+    n = np.arange(1, N + 1, dtype=float)
+    col = np.ones(N + 1)
+    for k in reversed(tuple(e)):
+        contrib = np.zeros(N + 1)
+        contrib[1:] = n ** float(k) * col[:-1]
+        col = np.cumsum(contrib)
+    return col
 
 
 def harmonic(w, N):
     """Exact H_w(N) as a Fraction; w is a Y-word (tuple of indices >= 1)."""
-    w = tuple(w)
-    if not w:
-        return Fraction(1)
-    if N < len(w):
-        return Fraction(0)
-    key = (w, N)
-    got = _harmonic_memo.get(key)
-    if got is None:
-        got = harmonic(w, N - 1) + Fraction(1, N ** w[0]) * harmonic(w[1:], N - 1)
-        _harmonic_memo[key] = got
-    return got
+    return nested_sum([-a for a in w], N)
 
 
 def harmonic_array(w, N):
     """Float H_w(n) for n = 0..N as a numpy array (for large N)."""
-    if not w:
-        return np.ones(N + 1)
-    tail = harmonic_array(w[1:], N)
-    contrib = np.zeros(N + 1)
-    n = np.arange(1, N + 1, dtype=float)
-    contrib[1:] = n ** (-float(w[0])) * tail[:-1]
-    return np.cumsum(contrib)
+    return nested_sum_array([-a for a in w], N)
 
 
 def harmonic_float(w, N):
-    return float(harmonic_array(tuple(w), N)[N])
+    return float(harmonic_array(w, N)[N])
 
 
 def harmonic_series(N, max_weight):
@@ -81,24 +97,31 @@ def harmonic_series(N, max_weight):
     return out
 
 
-def polylog_eval(w, z, terms=400):
+def polylog_eval(w, z, terms=400, alphabet=None):
     """Partial-sum value of Li_w(z) for |z| < 1, with a tail bound.
 
-    w may be a Y-word or an X-word in X*x1 (coded through y indices); the
-    empty word gives 1.  Returns (value, tail_bound); the bound is the
-    geometric tail |z|^(T+1)/(1-|z|) inflated by the crude polylog-growth
-    safety factor (T+1)^|w|.
+    w is read in the alphabet given: an X-word must lie in X*x1 (it codes
+    an index word), a Y/Y0 word is one.  Without it a word over {0, 1} is
+    read as an X-word.  terms=None keeps |z|^T below ~1e-17 even for z
+    near 1.  The empty word gives 1.  Returns (value, tail_bound); the
+    bound is the geometric tail |z|^(T+1)/(1-|z|) inflated by the crude
+    polylog-growth safety factor (T+1)^|w|.
     """
     w = tuple(w)
     if not (-1 < z < 1):
         raise ValueError("polylog_eval needs |z| < 1")
-    if w and set(w) <= {0, 1}:
+    if alphabet is None:
+        alphabet = X if w and set(w) <= {0, 1} else Y
+    if alphabet == X:
         yw = pi_y_word(w)
         if yw is None:
             raise ValueError("X-word must lie in X*x1 (it codes an index word)")
         w = yw
     if not w:
         return 1.0, 0.0
+    if terms is None:
+        terms = int(min(400000, max(2000, 40.0 / max(1e-9, 1.0 - abs(z)))))
+    import numpy as np
     h = harmonic_array(w, terms)
     n = np.arange(0, terms + 1, dtype=float)
     diffs = np.diff(h)  # H_w(n) - H_w(n-1), n = 1..terms
@@ -337,7 +360,7 @@ class FElem:
             elif set(w) == {0}:
                 li = log(z) ** len(w) / factorial(len(w))
             elif w[-1] == 1:
-                li = polylog_eval(w, z, terms)[0]
+                li = polylog_eval(w, z, terms, X)[0]
             else:
                 raise ValueError("cannot evaluate Li for word %r" % (w,))
             total += float(c.eval(z)) * li

@@ -28,7 +28,7 @@ import numpy as np
 
 from ncgen.hopf import decompose_in_basis, dual_s, dual_sigma, pbw_p, pbw_pi
 from ncgen.ncpoly import NCPoly
-from ncgen.polylog import harmonic_array, harmonic_float
+from ncgen.polylog import harmonic_float, polylog_eval
 from ncgen.words import (
     X,
     Y,
@@ -161,28 +161,8 @@ def series_exp(p):
 # numeric polylogarithms and zeta values
 
 def li_numeric(w, z, n_terms=None):
-    """Li_w(z) for a convergent X-word (x0...x1) or Y-word, |z| < 1.
-
-    Partial sums of (H_w(n) - H_w(n-1)) z^n with numpy; the automatic
-    term count keeps z^n below ~1e-17 even for z close to 1.
-    """
-    w = tuple(w)
-    if w and w[0] in (0, 1) and set(w) <= {0, 1}:
-        yw = pi_y_word(w)
-        if yw is None:
-            raise ValueError("word ends in the first letter: %r" % (w,))
-    else:
-        yw = w
-    if abs(z) >= 1:
-        raise ValueError("need |z| < 1")
-    if not yw:
-        return 1.0
-    if n_terms is None:
-        n_terms = int(min(400000, max(2000, 40.0 / max(1e-9, 1.0 - abs(z)))))
-    h = harmonic_array(yw, n_terms)
-    diff = h[1:] - h[:-1]
-    powers = np.power(float(z), np.arange(1, n_terms + 1, dtype=float))
-    return float(np.dot(diff, powers))
+    """Li_w(z) for a convergent X-word (x0...x1) or Y-word, |z| < 1."""
+    return polylog_eval(w, z, n_terms)[0]
 
 
 def zeta_numeric(w, n=DEFAULT_N):
@@ -320,7 +300,7 @@ def l_series(z, depth, n_terms=None):
     for l in reversed(lyndon_words(X, max_length=depth)):
         if len(l) == 1:
             continue
-        coef = sum(float(c) * li_numeric(v, z, n_terms)
+        coef = sum(float(c) * polylog_eval(v, z, n_terms, X)[0]
                    for v, c in dual_s(l).terms.items())
         p = TruncatedNCSeries.from_ncpoly(pbw_p(l), depth)
         out = out * series_exp(p.scale(coef))

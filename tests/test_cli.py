@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncgen.cli import main
 
@@ -154,6 +157,119 @@ def test_eval_hneg_value(capsys):
     assert code == 0
     # sum over 4 >= n1 > n2 >= 1 of n1^2 n2
     assert out["value"] == "127"
+
+
+@pytest.mark.parametrize("word, want", [
+    ("y0 y1", 0.693147180560),   # z/(1-z) (-log(1-z)) = log 2, not Li_2(1/2)
+    ("y1 y0", 0.306852819440),   # z/(1-z) + log(1-z) = 1 - log 2
+])
+def test_eval_li_reads_the_y0_alphabet(capsys, word, want):
+    code, out = run_json(capsys, "--format", "json", "eval", "li",
+                         "--word", word, "--z", "0.5")
+    assert code == 0
+    assert out["value"] == want
+
+
+def test_eval_hneg_past_the_recursion_limit(capsys):
+    code, out = run_json(capsys, "--format", "json", "eval", "hneg",
+                         "--word", "y2 y1", "--n", "3000")
+    assert code == 0
+    assert out["value"] == "24310122748874950"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--depth", "-1"],
+    ["verify", "duality", "--depth", "0"],
+    ["lyndon", "--max-len", "0"],
+    ["table", "eulerian", "--max-n", "-2"],
+    ["table", "pi-sigma", "--max-weight", "0"],
+    ["eval", "li", "--word", "x1", "--z", "0.5", "--terms", "-3"],
+    ["eval", "li", "--word", "x1", "--z", "nan"],
+    ["eval", "li", "--word", "x1", "--z=-inf"],
+    ["eval", "hneg", "--word", "y1", "--n", "-1"],
+    ["--precision", "-1", "lyndon", "--max-len", "2"],
+])
+def test_bad_numbers_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "must be" in err
+
+
+def test_eval_li_tail_bound_overflow_exits_2(capsys):
+    # (T+1)^|w| in the tail bound overflows a float for a 200-letter word
+    code, _, err = run(capsys, "eval", "li", "--word", " ".join(["y1"] * 200),
+                       "--z", "0.5")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_bad_depth_cap_env(capsys, monkeypatch):
+    for cap in ("abc", "0", "-3"):
+        monkeypatch.setenv("NCGEN_MAX_DEPTH", cap)
+        code, _, err = run(capsys, "lyndon", "--max-len", "2")
+        assert code == 2
+        assert err == "error: NCGEN_MAX_DEPTH must be a positive integer, " \
+                      "got %r\n" % cap
+
+
+def test_bad_controls(tmp_path, capsys):
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps({"builtin": "oscillator",
+                                "params": {"k1": "1", "k2": "2"}, "q0": ["1"]}))
+    code, _, err = run(capsys, "simulate", "--system", str(path),
+                       "--T", "0.1", "--controls", "1.0,abc")
+    assert code == 2
+    assert err.startswith("error: bad --controls")
+
+
+_NUMBERS = ["-3", "0", "1", "3", "2.5", "abc"]
+# (positional choices, {option: values}); each option is drawn or left out
+_FUZZ_COMMANDS = {
+    "eval": (["li", "hneg"],
+             {"--word": ["y0 y1", "y1 y0", "y2 y1", "x0 x1", "x1 x0", "e",
+                         "y", "x0 y1"],
+              "--z": ["0.5", "-0.9", "1", "inf", "nan", "abc"],
+              "--terms": ["-3", "0", "1", "40", "abc"],
+              "--n": ["-1", "0", "7", "3000", "abc"]}),
+    "lyndon": ([], {"--alphabet": ["X", "Y", "Y0", "Z"],
+                    "--max-len": _NUMBERS, "--max-weight": _NUMBERS}),
+    "table": (["dual-bases", "pi-sigma", "cminus", "eulerian"],
+              {"--alphabet": ["X", "Y"], "--max-len": _NUMBERS,
+               "--max-weight": _NUMBERS, "--max-n": _NUMBERS}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--precision", draw(st.sampled_from(_NUMBERS))]
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    which, options = _FUZZ_COMMANDS[command]
+    argv.append(command)
+    if which:
+        argv.append(draw(st.sampled_from(which)))
+    for name, values in options.items():
+        if draw(st.booleans()):
+            argv += [name, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_eval_bad_word(capsys):

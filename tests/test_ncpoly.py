@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgen.ncpoly import (
-    NCPoly, conc, coproduct_shuffle, coproduct_stuffle, is_grouplike,
-    pi_x_poly, pi_y_poly, poly_to_str, residual_left, residual_right,
-    shuffle, shuffle_words, stuffle, stuffle_words, words_up_to,
+    NCPoly, conc, coproduct_shuffle, coproduct_stuffle, grouplike_err,
+    is_grouplike, pi_x_poly, pi_y_poly, poly_to_str, residual_left,
+    residual_right, shuffle, shuffle_words, stuffle, stuffle_words,
+    words_up_to,
 )
 from ncgen.words import X, Y, Y0
 
@@ -185,6 +186,13 @@ def test_not_grouplike():
     S = NCPoly.one() + W((0, 1))
     assert not is_grouplike(S, "shuffle", 2)
     assert not is_grouplike(W((0, 1)), "shuffle", 2)  # <S|1> must be 1
+
+
+def test_grouplike_err_is_exact():
+    # <S|x0><S|x1> = 0 but <S|x0 sh x1> = <S|x0 x1> = 1/3
+    S = NCPoly.one() + W((0, 1), c=Fraction(1, 3))
+    err = grouplike_err(S, "shuffle", 2)
+    assert err == Fraction(1, 3) and isinstance(err, Fraction)
 
 
 # -- coding maps on polynomials --------------------------------------

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncgen.ncpoly import is_grouplike, stuffle_words, words_up_to
+from ncgen.negpolylog import h_neg, h_neg_value
 from ncgen.polylog import (
     FElem, RatZ, harmonic, harmonic_array, harmonic_float, harmonic_series,
     polylog_eval,
@@ -32,6 +34,26 @@ def test_harmonic_brute_force():
     for w in [(1,), (2,), (2, 1), (1, 2), (3, 1, 2)]:
         for N in (1, 2, 5, 9):
             assert harmonic(w, N) == brute(w, N), (w, N)
+
+
+def test_harmonic_past_the_recursion_limit():
+    # iterative H_{y2 y1}(N) = sum_n H_{y1}(n-1) / n^2
+    total, h1 = Fraction(0), Fraction(0)
+    for n in range(1, 3001):
+        total += h1 / n ** 2
+        h1 += Fraction(1, n)
+    assert harmonic((2, 1), 3000) == total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.integers(0, 2000))
+@example([2, 1], 2000)
+def test_nested_sum_at_both_exponent_signs(w, N):
+    # one engine: H^- at exponents +w, H at exponents -w (y0 is 0 on both)
+    assert h_neg_value(w, N) == h_neg(w).eval(N)
+    assert math.isclose(float(harmonic(w, N)), harmonic_float(w, N),
+                        rel_tol=1e-12, abs_tol=1e-300)
 
 
 def test_harmonic_stuffle_morphism():
