@@ -28,7 +28,6 @@ from scipy.integrate import solve_ivp
 from ncgen.ncpoly import NCPoly, words_up_to
 from ncgen.hopf import dual_s, pbw_p
 from ncgen.rational import LinearRepresentation
-from ncgen.renorm import TruncatedNCSeries, chen_between
 from ncgen.words import X
 
 _ZERO = Fraction(0)
@@ -228,7 +227,7 @@ def chen_ode(z0, z1, depth, rtol=1e-12, atol=1e-14):
     if not sol.success:
         raise RuntimeError(sol.message)
     final = sol.y[:, -1]
-    return TruncatedNCSeries(X, {w: final[index[w]] for w in ws}, depth)
+    return NCPoly(X, {w: final[index[w]] for w in ws}, depth)
 
 
 def iterated_integral(w, z0, z1, rtol=1e-12):
@@ -254,11 +253,6 @@ def iterated_integral(w, z0, z1, rtol=1e-12):
     return float(sol.y[index[w], -1])
 
 
-def chen_factorized(z0, z1, depth):
-    """L(z1) L(z0)^{-1} from the factorized polylog product."""
-    return chen_between(z0, z1, depth)
-
-
 def chen_drift(T, depth, controls=(1.0, 0.0)):
     """Chen coefficients for constant controls on [0, T]:
     alpha_w = u_{w_1} ... u_{w_k} T^k / k!."""
@@ -268,7 +262,7 @@ def chen_drift(T, depth, controls=(1.0, 0.0)):
         for a in w:
             val *= controls[a]
         t[w] = val
-    return TruncatedNCSeries(X, t, depth)
+    return NCPoly(X, t, depth)
 
 
 # ---------------------------------------------------------------------------

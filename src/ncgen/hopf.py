@@ -26,7 +26,7 @@ from math import factorial
 
 from .ncpoly import (
     NCPoly, _word_coproduct, conc, shuffle, shuffle_words, shuffle_power,
-    stuffle_words, stuffle_power, words_up_to,
+    stuffle, stuffle_words, stuffle_power, words_up_to,
 )
 from .words import (
     X, Y, is_lyndon, lyndon_decompose, lyndon_words, standard_factorization,
@@ -196,7 +196,7 @@ def sigma_by_products(w):
     """Sigma_w from the stuffle-power product formula (needs the Lyndon Sigmas)."""
     out = NCPoly.one(Y)
     for l, mult in lyndon_decompose(w, Y):
-        out = out.stuffle(stuffle_power(dual_sigma(l), mult))
+        out = stuffle(out, stuffle_power(dual_sigma(l), mult))
         out = out.scale(Fraction(1, factorial(mult)))
     return out
 

@@ -1,9 +1,12 @@
-"""Noncommutative polynomials over Q with concatenation, shuffle and stuffle.
+"""Noncommutative series over Q or floats: concatenation, shuffle, stuffle.
 
-An NCPoly is a finite map word -> Fraction (zero coefficients never
-stored), tagged with the alphabet of its words.  All arithmetic is
-exact.  Shuffle interleaves words; stuffle additionally contracts the
-two leading letters y_i, y_j into y_{i+j} (quasi-shuffle):
+An NCPoly is a finite map word -> coefficient (zeros never stored),
+tagged with the alphabet of its words.  Coefficients are exact (ints and
+Fractions are stored as Fractions) or floats, as given, and every
+operation keeps the kind.  An optional depth truncates: words of degree
+(length for X, weight for Y/Y0) above it are dropped, also in products.
+Shuffle interleaves words; stuffle additionally contracts the two
+leading letters y_i, y_j into y_{i+j} (quasi-shuffle):
 
     xu sh yv = x(u sh yv) + y(xu sh v)
     y_iu st y_jv = y_i(u st y_jv) + y_j(y_iu st v) + y_{i+j}(u st v)
@@ -16,92 +19,120 @@ Residuals (shifts): (P <| S) has coefficients <S | wP> (strip P from the
 right), (S |> P) has <S | Pw> (strip P from the left).
 """
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .words import X, Y, Y0, pi_x_word, pi_y_word, weight, word_to_str, str_to_word
 
-_shuffle_memo = {}
-_stuffle_memo = {}
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+_word_products = {}
+
+
+def _quasi_shuffle(u, v, quasi):
+    """u sh v (quasi: u st v) as a cached map word -> positive int.
+
+    One recursion (Hoffman's quasi-shuffle): the shuffle is the case
+    without the contracted term.  The cached dicts are shared; callers
+    outside this module get them read-only.
+    """
+    if not u:
+        return {v: 1}
+    if not v:
+        return {u: 1}
+    if v < u:
+        u, v = v, u
+    key = (u, v, quasi)
+    got = _word_products.get(key)
+    if got is not None:
+        return got
+    parts = [(u[0], u[1:], v), (v[0], u, v[1:])]
+    if quasi:
+        parts.append((u[0] + v[0], u[1:], v[1:]))
+    out = {}
+    for a, p, q in parts:
+        for w, c in _quasi_shuffle(p, q, quasi).items():
+            w = (a,) + w
+            out[w] = out.get(w, 0) + c
+    _word_products[key] = out
+    return out
 
 
 def shuffle_words(u, v):
-    """Shuffle of two words as a map word -> positive int.  Do not mutate."""
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    if v < u:
-        u, v = v, u
-    got = _shuffle_memo.get((u, v))
-    if got is not None:
-        return got
-    out = {}
-    for w, c in shuffle_words(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in shuffle_words(u, v[1:]).items():
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    _shuffle_memo[(u, v)] = out
-    return out
+    """Shuffle of two words as a read-only map word -> positive int."""
+    return MappingProxyType(_quasi_shuffle(u, v, False))
 
 
 def stuffle_words(u, v):
-    """Quasi-shuffle of two Y/Y0-words as a map word -> positive int."""
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    if v < u:
-        u, v = v, u
-    got = _stuffle_memo.get((u, v))
-    if got is not None:
-        return got
-    out = {}
-    for w, c in stuffle_words(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in stuffle_words(u, v[1:]).items():
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in stuffle_words(u[1:], v[1:]).items():
-        key = (u[0] + v[0],) + w
-        out[key] = out.get(key, 0) + c
-    _stuffle_memo[(u, v)] = out
-    return out
+    """Quasi-shuffle of two Y/Y0-words as a read-only map word -> positive int."""
+    return MappingProxyType(_quasi_shuffle(u, v, True))
+
+
+def _degree(alphabet):
+    """The degree of a word: len over X, the weight (letter sum) over Y/Y0."""
+    return len if alphabet == X else sum
+
+
+def _min_depth(a, b):
+    return b if a is None else a if b is None else min(a, b)
 
 
 class NCPoly:
-    """Exact noncommutative polynomial: finite map word tuple -> Fraction."""
+    """Noncommutative series: finite map word tuple -> Fraction or float.
 
-    __slots__ = ("alphabet", "terms")
+    depth=None: a polynomial, untruncated.  depth=d: a series known up to
+    degree d; words above d are dropped and products truncated there.
+    """
 
-    def __init__(self, alphabet=X, terms=None):
+    __slots__ = ("alphabet", "terms", "depth")
+
+    def __init__(self, alphabet=X, terms=None, depth=None):
         self.alphabet = alphabet
+        self.depth = depth
         t = {}
         if terms:
+            deg = _degree(alphabet)
             for w, c in terms.items():
-                c = Fraction(c)
-                if c:
+                c = float(c) if isinstance(c, float) else Fraction(c)
+                if c and (depth is None or deg(w) <= depth):
                     t[w] = c
         self.terms = t
+
+    @classmethod
+    def _new(cls, alphabet, terms, depth):
+        """A result of arithmetic: coefficients already of their kind."""
+        P = cls.__new__(cls)
+        P.alphabet = alphabet
+        P.depth = depth
+        P.terms = {w: c for w, c in terms.items() if c}
+        return P
 
     # -- constructors -------------------------------------------------
     @classmethod
     def word(cls, w, alphabet=X, coef=1):
-        return cls(alphabet, {tuple(w): Fraction(coef)})
+        return cls(alphabet, {tuple(w): coef})
 
     @classmethod
     def one(cls, alphabet=X):
-        return cls(alphabet, {(): Fraction(1)})
+        return cls(alphabet, {(): _ONE})
 
     @classmethod
     def zero(cls, alphabet=X):
         return cls(alphabet)
 
+    def _unit(self):
+        """1 in the kind of the coefficients (an empty series is exact)."""
+        for c in self.terms.values():
+            return 1.0 if isinstance(c, float) else _ONE
+        return _ONE
+
     # -- basics -------------------------------------------------------
     def coeff(self, w):
-        return self.terms.get(tuple(w), Fraction(0))
+        c = self.terms.get(tuple(w))
+        if c is None:
+            return _ZERO if self._unit() is _ONE else 0.0
+        return c
 
     def __bool__(self):
         return bool(self.terms)
@@ -114,24 +145,31 @@ class NCPoly:
         return hash((self.alphabet, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        """The sum, cut at the smaller depth of the two."""
         self._check(other)
         t = dict(self.terms)
         for w, c in other.terms.items():
-            t[w] = t.get(w, Fraction(0)) + c
-        return NCPoly(self.alphabet, t)
+            prev = t.get(w)
+            t[w] = c if prev is None else prev + c
+        if self.depth == other.depth:
+            return NCPoly._new(self.alphabet, t, self.depth)
+        depth = _min_depth(self.depth, other.depth)
+        return NCPoly._new(self.alphabet, t, None).truncate(depth)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return NCPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
+        return NCPoly._new(self.alphabet,
+                           {w: -c for w, c in self.terms.items()}, self.depth)
 
     def scale(self, c):
-        c = Fraction(c)
-        return NCPoly(self.alphabet, {w: c * cw for w, cw in self.terms.items()})
+        """c P; a float c turns exact coefficients into floats."""
+        return NCPoly._new(self.alphabet,
+                           {w: c * cw for w, cw in self.terms.items()},
+                           self.depth)
 
-    def __rmul__(self, c):
-        return self.scale(c)
+    __rmul__ = scale
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
@@ -143,34 +181,61 @@ class NCPoly:
             raise ValueError("alphabet mismatch: %s vs %s"
                              % (self.alphabet, other.alphabet))
 
-    def shuffle(self, other):
-        return shuffle(self, other)
-
-    def stuffle(self, other):
-        return stuffle(self, other)
-
     def truncate(self, max_degree):
-        """Drop words of degree > max_degree (length for X, weight for Y/Y0)."""
-        return NCPoly(self.alphabet,
-                      {w: c for w, c in self.terms.items()
-                       if weight(w, self.alphabet) <= max_degree})
+        """Drop words of degree > max_degree, which becomes the depth
+        (None: no cut)."""
+        depth = _min_depth(self.depth, max_degree)
+        if depth == self.depth:
+            return self
+        deg = _degree(self.alphabet)
+        return NCPoly._new(self.alphabet,
+                           {w: c for w, c in self.terms.items()
+                            if deg(w) <= depth}, depth)
+
+    def inverse(self):
+        """Inverse for the concatenation product, up to the depth."""
+        c0 = self.coeff(())
+        if not c0:
+            raise ZeroDivisionError("series has no constant term")
+        if self.depth is None:
+            raise ValueError("inverse needs a truncated series")
+        rest = NCPoly._new(self.alphabet,
+                           {w: -c / c0 for w, c in self.terms.items() if w},
+                           self.depth)
+        out = power = _unit_series(self)
+        for _ in range(self.depth):
+            power = power * rest
+            if not power.terms:
+                break
+            out = out + power
+        return out.scale(1 / c0)
 
     def map_words(self, fn, alphabet=None):
-        """Linear extension of a word map; fn may return None to kill a word."""
+        """Linear extension of a degree-preserving word map; fn may return
+        None to kill a word."""
         t = {}
         for w, c in self.terms.items():
             img = fn(w)
             if img is None:
                 continue
-            t[img] = t.get(img, Fraction(0)) + c
-        return NCPoly(alphabet or self.alphabet, t)
+            prev = t.get(img)
+            t[img] = c if prev is None else prev + c
+        return NCPoly._new(alphabet or self.alphabet, t, self.depth)
+
+    def pi_y(self):
+        """Code an X-series over Y; words ending in x0 are annihilated."""
+        if self.alphabet != X:
+            raise ValueError("pi_y expects an X series")
+        return self.map_words(pi_y_word, alphabet=Y)
+
+    def max_abs_diff(self, other, max_weight=None):
+        """max |<self|w> - <other|w>| over the words up to max_weight and
+        the depths."""
+        diff = (self - other).truncate(max_weight)
+        return max(map(abs, diff.terms.values()), default=0.0)
 
     def support(self):
         return sorted(self.terms)
-
-    def max_degree(self):
-        a = self.alphabet
-        return max((weight(w, a) for w in self.terms), default=0)
 
     def __repr__(self):
         return "NCPoly(%s)" % poly_to_str(self)
@@ -192,53 +257,92 @@ class NCPoly:
         return cls(alphabet or X, terms)
 
 
+def _unit_series(P):
+    """The series 1 with the alphabet, depth and coefficient kind of P."""
+    return NCPoly._new(P.alphabet, {(): P._unit()}, P.depth)
+
+
 def conc(P, Q):
-    """Concatenation product, bilinear on words."""
+    """Concatenation product, bilinear on words, cut at the smaller depth."""
     P._check(Q)
+    alphabet = P.alphabet if P.terms else Q.alphabet
+    depth = _min_depth(P.depth, Q.depth)
+    cap = math.inf if depth is None else depth
+    deg = _degree(alphabet)
+    qs = [(v, cv, deg(v)) for v, cv in Q.terms.items()]
     t = {}
     for u, cu in P.terms.items():
-        for v, cv in Q.terms.items():
+        room = cap - deg(u)
+        for v, cv, dv in qs:
+            if dv > room:
+                continue
             w = u + v
-            t[w] = t.get(w, Fraction(0)) + cu * cv
-    return NCPoly(P.alphabet if P.terms else Q.alphabet, t)
+            c = cu * cv
+            prev = t.get(w)
+            t[w] = c if prev is None else prev + c
+    return NCPoly._new(alphabet, t, depth)
+
+
+def _product(P, Q, quasi):
+    """P sh Q (quasi: P st Q), bilinear on words, cut at the smaller depth."""
+    P._check(Q)
+    alphabet = P.alphabet if P.terms else Q.alphabet
+    if quasi and alphabet == X:
+        raise ValueError("stuffle needs the Y/Y0 alphabet")
+    depth = _min_depth(P.depth, Q.depth)
+    cap = math.inf if depth is None else depth
+    deg = _degree(alphabet)
+    qs = [(v, cv, deg(v)) for v, cv in Q.terms.items()]
+    t = {}
+    for u, cu in P.terms.items():
+        room = cap - deg(u)
+        for v, cv, dv in qs:
+            if dv > room:
+                continue
+            c = cu * cv
+            for w, m in _quasi_shuffle(u, v, quasi).items():
+                prev = t.get(w)
+                t[w] = c * m if prev is None else prev + c * m
+    return NCPoly._new(alphabet, t, depth)
 
 
 def shuffle(P, Q):
-    P._check(Q)
-    t = {}
-    for u, cu in P.terms.items():
-        for v, cv in Q.terms.items():
-            c = cu * cv
-            for w, m in shuffle_words(u, v).items():
-                t[w] = t.get(w, Fraction(0)) + c * m
-    return NCPoly(P.alphabet if P.terms else Q.alphabet, t)
+    return _product(P, Q, False)
 
 
 def stuffle(P, Q):
-    P._check(Q)
-    alphabet = P.alphabet if P.terms else Q.alphabet
-    if alphabet == X:
-        raise ValueError("stuffle needs the Y/Y0 alphabet")
-    t = {}
-    for u, cu in P.terms.items():
-        for v, cv in Q.terms.items():
-            c = cu * cv
-            for w, m in stuffle_words(u, v).items():
-                t[w] = t.get(w, Fraction(0)) + c * m
-    return NCPoly(alphabet, t)
+    return _product(P, Q, True)
 
 
-def shuffle_power(P, k):
-    out = NCPoly.one(P.alphabet)
+def _power(P, k, quasi):
+    out = _unit_series(P)
     for _ in range(k):
-        out = shuffle(out, P)
+        out = _product(out, P, quasi)
     return out
 
 
+def shuffle_power(P, k):
+    return _power(P, k, False)
+
+
 def stuffle_power(P, k):
-    out = NCPoly.one(P.alphabet)
-    for _ in range(k):
-        out = stuffle(out, P)
+    return _power(P, k, True)
+
+
+def series_exp(p):
+    """exp(p) for a truncated series p with zero constant term (conc
+    product, cut at p.depth); exact or float as p is."""
+    if p.coeff(()) != 0:
+        raise ValueError("series_exp needs a zero constant term")
+    if p.depth is None:
+        raise ValueError("series_exp needs a truncated series")
+    out = power = _unit_series(p)
+    one = p._unit()
+    for k in range(1, p.depth + 1):
+        power = power * p
+        if not power.terms:
+            break
+        out = out + power.scale(one / math.factorial(k))
     return out
 
 
@@ -267,26 +371,24 @@ def _word_coproduct(w, alphabet, quasi):
     return out
 
 
-def coproduct_shuffle(P):
-    """Deshuffle coproduct: map (u, v) -> Fraction with <Delta(P)|u(x)v> = <P|u sh v>."""
+def _coproduct(P, quasi):
     out = {}
     for w, c in P.terms.items():
-        for k, m in _word_coproduct(w, P.alphabet, quasi=False).items():
-            out[k] = out.get(k, Fraction(0)) + c * m
+        for k, m in _word_coproduct(w, P.alphabet, quasi).items():
+            out[k] = out.get(k, _ZERO) + c * m
             if not out[k]:
                 del out[k]
     return out
+
+
+def coproduct_shuffle(P):
+    """Deshuffle coproduct: map (u, v) -> Fraction with <Delta(P)|u(x)v> = <P|u sh v>."""
+    return _coproduct(P, False)
 
 
 def coproduct_stuffle(P):
     """Quasi-shuffle coproduct: <Delta(P)|u(x)v> = <P|u st v>; Y/Y0 only."""
-    out = {}
-    for w, c in P.terms.items():
-        for k, m in _word_coproduct(w, P.alphabet, quasi=True).items():
-            out[k] = out.get(k, Fraction(0)) + c * m
-            if not out[k]:
-                del out[k]
-    return out
+    return _coproduct(P, True)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +407,10 @@ def residual_left(P, S):
                 w = s[:len(s) - n]
             else:
                 continue
-            t[w] = t.get(w, Fraction(0)) + cs * cp
-    return NCPoly(S.alphabet, t)
+            c = cs * cp
+            prev = t.get(w)
+            t[w] = c if prev is None else prev + c
+    return NCPoly._new(S.alphabet, t, S.depth)
 
 
 def residual_right(S, P):
@@ -322,8 +426,10 @@ def residual_right(S, P):
                 w = s[n:]
             else:
                 continue
-            t[w] = t.get(w, Fraction(0)) + cs * cp
-    return NCPoly(S.alphabet, t)
+            c = cs * cp
+            prev = t.get(w)
+            t[w] = c if prev is None else prev + c
+    return NCPoly._new(S.alphabet, t, S.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +459,10 @@ def words_up_to(alphabet, degree):
 def grouplike_err(S, product, depth):
     """Friedrichs defect: max |<S|u><S|v> - <S|u*v>|, deg u + deg v <= depth.
 
-    S is anything with .coeff(word) and .alphabet (NCPoly, truncated series).
-    product: "shuffle" or "stuffle".  Exact when the coefficients are
-    Fractions.
+    S is an NCPoly, exact or float; product: "shuffle" or "stuffle".
+    Exact when the coefficients are Fractions.
     """
-    word_product = {"shuffle": shuffle_words, "stuffle": stuffle_words}[product]
+    quasi = {"shuffle": False, "stuffle": True}[product]
     ws = words_up_to(S.alphabet, depth)
     worst = 0
     for u in ws:
@@ -366,7 +471,8 @@ def grouplike_err(S, product, depth):
             if du + weight(v, S.alphabet) > depth:
                 continue
             lhs = S.coeff(u) * S.coeff(v)
-            rhs = sum(c * S.coeff(w) for w, c in word_product(u, v).items())
+            rhs = sum(c * S.coeff(w)
+                      for w, c in _quasi_shuffle(u, v, quasi).items())
             worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -386,7 +492,7 @@ def pi_x_poly(P):
 
 def pi_y_poly(P):
     """Q<X> -> Q<Y>: words ending in x0 are annihilated, others coded by runs."""
-    return P.map_words(pi_y_word, alphabet=Y)
+    return P.pi_y()
 
 
 # ---------------------------------------------------------------------------

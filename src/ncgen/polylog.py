@@ -28,6 +28,7 @@ from ncgen.ncpoly import NCPoly
 from ncgen.words import X, Y, pi_y_word
 
 _columns = {}  # exponent word e -> [S_e(0), S_e(1), ...], grown on demand
+MAX_TERMS = 400000  # polylog_eval's cap, the count it picks near z = 1
 
 
 def nested_sum(e, N):
@@ -81,19 +82,10 @@ def harmonic_series(N, max_weight):
     Built from the product (1 + sum_k y_k/N^k)(...)(1 + sum_k y_k/1^k),
     largest index leftmost, which encodes the difference equations.
     """
-    out = NCPoly.one(Y)
+    out = NCPoly.one(Y).truncate(max_weight)
     for n in range(1, N + 1):
-        factor = {(): Fraction(1)}
-        for k in range(1, max_weight + 1):
-            factor[(k,)] = Fraction(1, n ** k)
-        t = {}
-        for fw, fc in factor.items():
-            for w, c in out.terms.items():
-                if sum(fw) + sum(w) > max_weight:
-                    continue
-                key = fw + w
-                t[key] = t.get(key, Fraction(0)) + fc * c
-        out = NCPoly(Y, t)
+        factor = {(k,): Fraction(1, n ** k) for k in range(1, max_weight + 1)}
+        out = (NCPoly.one(Y) + NCPoly(Y, factor)) * out
     return out
 
 
@@ -103,13 +95,16 @@ def polylog_eval(w, z, terms=400, alphabet=None):
     w is read in the alphabet given: an X-word must lie in X*x1 (it codes
     an index word), a Y/Y0 word is one.  Without it a word over {0, 1} is
     read as an X-word.  terms=None keeps |z|^T below ~1e-17 even for z
-    near 1.  The empty word gives 1.  Returns (value, tail_bound); the
-    bound is the geometric tail |z|^(T+1)/(1-|z|) inflated by the crude
-    polylog-growth safety factor (T+1)^|w|.
+    near 1; terms above MAX_TERMS are refused.  The empty word gives 1.
+    Returns (value, tail_bound); the bound is the geometric tail
+    |z|^(T+1)/(1-|z|) inflated by the crude polylog-growth safety factor
+    (T+1)^|w|.
     """
     w = tuple(w)
     if not (-1 < z < 1):
         raise ValueError("polylog_eval needs |z| < 1")
+    if terms is not None and terms > MAX_TERMS:
+        raise ValueError("terms must be <= %d, got %d" % (MAX_TERMS, terms))
     if alphabet is None:
         alphabet = X if w and set(w) <= {0, 1} else Y
     if alphabet == X:
@@ -120,7 +115,7 @@ def polylog_eval(w, z, terms=400, alphabet=None):
     if not w:
         return 1.0, 0.0
     if terms is None:
-        terms = int(min(400000, max(2000, 40.0 / max(1e-9, 1.0 - abs(z)))))
+        terms = int(min(MAX_TERMS, max(2000, 40.0 / max(1e-9, 1.0 - abs(z)))))
     import numpy as np
     h = harmonic_array(w, terms)
     n = np.arange(0, terms + 1, dtype=float)

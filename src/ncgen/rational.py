@@ -6,10 +6,9 @@ first letter of w applied first.  Everything is exact (Fractions).
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
-from ncgen.ncpoly import NCPoly, words_up_to
+from ncgen.ncpoly import NCPoly, coproduct_shuffle, words_up_to
 from ncgen.words import X, str_to_word, word_to_str
 
 _ZERO = Fraction(0)
@@ -230,15 +229,8 @@ def growth_condition_check(coefficient, alphabet=X, depth=6, K=None, C=None):
 # coefficient-level shuffle of two series
 
 def shuffle_coefficient(coeff_a, coeff_b, w):
-    """<A shuffle B | w> = sum over position subsets of <A|u><B|v>."""
-    w = tuple(w)
-    n = len(w)
+    """<A shuffle B | w> = sum of <Delta_sh(w)|u(x)v> <A|u><B|v>."""
     total = _ZERO
-    idx = range(n)
-    for k in range(n + 1):
-        for subset in combinations(idx, k):
-            in_subset = set(subset)
-            u = tuple(w[i] for i in range(n) if i in in_subset)
-            v = tuple(w[i] for i in range(n) if i not in in_subset)
-            total += Fraction(coeff_a(u)) * Fraction(coeff_b(v))
+    for (u, v), m in coproduct_shuffle(NCPoly.word(w)).items():
+        total += m * Fraction(coeff_a(u)) * Fraction(coeff_b(v))
     return total

@@ -6,8 +6,9 @@ basis elements, so grouplikeness and character identities hold up to
 floating-point noise and finite-sum truncation of the zeta values.
 
 Contents:
-  * TruncatedNCSeries - noncommutative series with float coefficients,
-    truncated by weight;
+  * the series are ncpoly.NCPoly with float coefficients and a depth
+    (TruncatedNCSeries is another name for it), and series_exp is
+    ncpoly.series_exp;
   * regularized zeta characters for the shuffle (X) and stuffle (Y)
     sides, defined by sending the Lyndon-letter coordinates to zero in
     the dual-basis factorization;
@@ -27,134 +28,21 @@ from fractions import Fraction
 import numpy as np
 
 from ncgen.hopf import decompose_in_basis, dual_s, dual_sigma, pbw_p, pbw_pi
-from ncgen.ncpoly import NCPoly
-from ncgen.polylog import harmonic_float, polylog_eval
+from ncgen.ncpoly import NCPoly, series_exp, words_up_to
+from ncgen.polylog import harmonic, harmonic_float, polylog_eval
 from ncgen.words import (
     X,
     Y,
     lyndon_decompose,
     lyndon_words,
     pi_y_word,
-    weight,
 )
 
 DEFAULT_N = 100000
 
 
-class TruncatedNCSeries:
-    """Noncommutative series with float coefficients, truncated by weight."""
-
-    __slots__ = ("alphabet", "depth", "terms")
-
-    def __init__(self, alphabet, terms=None, depth=6):
-        self.alphabet = alphabet
-        self.depth = depth
-        self.terms = {}
-        for w, c in (terms or {}).items():
-            w = tuple(w)
-            c = float(c)
-            if weight(w, alphabet) <= depth and c != 0.0:
-                self.terms[w] = c
-
-    @classmethod
-    def one(cls, alphabet, depth):
-        return cls(alphabet, {(): 1.0}, depth)
-
-    @classmethod
-    def from_ncpoly(cls, p, depth):
-        return cls(p.alphabet, p.terms, depth)
-
-    def coeff(self, w):
-        return self.terms.get(tuple(w), 0.0)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, 0.0) + c
-        return TruncatedNCSeries(self.alphabet, t, self.depth)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, 0.0) - c
-        return TruncatedNCSeries(self.alphabet, t, self.depth)
-
-    def scale(self, c):
-        c = float(c)
-        return TruncatedNCSeries(
-            self.alphabet, {w: c * v for w, v in self.terms.items()}, self.depth)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedNCSeries):
-            return self.scale(other)
-        t = {}
-        for u, a in self.terms.items():
-            wu = weight(u, self.alphabet)
-            for v, b in other.terms.items():
-                if wu + weight(v, self.alphabet) > self.depth:
-                    continue
-                w = u + v
-                t[w] = t.get(w, 0.0) + a * b
-        return TruncatedNCSeries(self.alphabet, t, self.depth)
-
-    __rmul__ = scale
-
-    def inverse(self):
-        c0 = self.coeff(())
-        if c0 == 0.0:
-            raise ZeroDivisionError("series has no constant term")
-        rest = TruncatedNCSeries(
-            self.alphabet,
-            {w: -c / c0 for w, c in self.terms.items() if w},
-            self.depth)
-        out = TruncatedNCSeries.one(self.alphabet, self.depth)
-        power = TruncatedNCSeries.one(self.alphabet, self.depth)
-        for _ in range(self.depth):
-            power = power * rest
-            if not power.terms:
-                break
-            out = out + power
-        return out.scale(1.0 / c0)
-
-    def pi_y(self):
-        """Code an X-series over Y; words ending in the first letter drop."""
-        if self.alphabet != X:
-            raise ValueError("pi_y expects an X series")
-        t = {}
-        for w, c in self.terms.items():
-            yw = pi_y_word(w)
-            if yw is not None:
-                t[yw] = t.get(yw, 0.0) + c
-        return TruncatedNCSeries(Y, t, self.depth)
-
-    def max_abs_diff(self, other, max_weight=None):
-        cap = self.depth if max_weight is None else max_weight
-        support = set(self.terms) | set(other.terms)
-        worst = 0.0
-        for w in support:
-            if weight(w, self.alphabet) > cap:
-                continue
-            worst = max(worst, abs(self.coeff(w) - other.coeff(w)))
-        return worst
-
-    def __repr__(self):
-        shown = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return "TruncatedNCSeries(%s, depth=%d, %d terms, %r...)" % (
-            self.alphabet, self.depth, len(self.terms), shown[:4])
-
-
-def series_exp(p):
-    """exp of a series with zero constant term (conc product, truncated)."""
-    if p.coeff(()) != 0.0:
-        raise ValueError("series_exp needs a zero constant term")
-    out = TruncatedNCSeries.one(p.alphabet, p.depth)
-    power = TruncatedNCSeries.one(p.alphabet, p.depth)
-    for k in range(1, p.depth + 1):
-        power = power * p
-        if not power.terms:
-            break
-        out = out + power.scale(1.0 / math.factorial(k))
-    return out
+# the float series are NCPoly with a depth; the name stays for importers
+TruncatedNCSeries = NCPoly
 
 
 # ---------------------------------------------------------------------------
@@ -236,35 +124,24 @@ def zeta_stuffle_reg(w, n=DEFAULT_N):
 def z_shuffle_series(depth, n=DEFAULT_N):
     """Z for the shuffle side: ordered product over Lyndon X-words of
     exp(zeta(S_l) P_l), letters excluded, largest Lyndon word leftmost."""
-    out = TruncatedNCSeries.one(X, depth)
+    out = NCPoly(X, {(): 1.0}, depth)
     for l in reversed(lyndon_words(X, max_length=depth)):
         if len(l) == 1:
             continue
         coef = _zeta_of_dual(dual_s(l), n)
-        p = TruncatedNCSeries.from_ncpoly(pbw_p(l), depth)
-        out = out * series_exp(p.scale(coef))
+        out = out * series_exp(pbw_p(l).truncate(depth).scale(coef))
     return out
 
 
 def z_stuffle_series(depth, n=DEFAULT_N):
     """Z for the stuffle side: product of exp(zeta(Sigma_l) Pi_l), l != y1."""
-    out = TruncatedNCSeries.one(Y, depth)
+    out = NCPoly(Y, {(): 1.0}, depth)
     for l in reversed(lyndon_words(Y, max_weight=depth)):
         if l == (1,):
             continue
         coef = _zeta_of_dual(dual_sigma(l), n)
-        p = TruncatedNCSeries.from_ncpoly(pbw_pi(l), depth)
-        out = out * series_exp(p.scale(coef))
+        out = out * series_exp(pbw_pi(l).truncate(depth).scale(coef))
     return out
-
-
-def _y1_exponent(coefs, depth):
-    """exp(sum_k coefs[k] y1^k) as a Y-series; coefs maps k>=1 to float."""
-    t = {}
-    for k, c in coefs.items():
-        if k <= depth and c:
-            t[(1,) * k] = c
-    return series_exp(TruncatedNCSeries(Y, t, depth))
 
 
 def bridge_series(depth, n=DEFAULT_N, z_shuffle=None):
@@ -273,7 +150,7 @@ def bridge_series(depth, n=DEFAULT_N, z_shuffle=None):
         z_shuffle = z_shuffle_series(depth, n)
     coefs = {k: -zeta_numeric(k, n) * (-1.0) ** k / k
              for k in range(2, depth + 1)}
-    return _y1_exponent(coefs, depth) * z_shuffle.pi_y()
+    return ncpoly_exp_y1(coefs, depth) * z_shuffle.pi_y()
 
 
 def bridge_check(depth=4, n=DEFAULT_N, tol=1e-2):
@@ -295,18 +172,14 @@ def l_series(z, depth, n_terms=None):
     largest leftmost; each Li_{S_l} is a finite combination of
     convergent polylogarithms.
     """
-    out = series_exp(TruncatedNCSeries(
-        X, {(1,): -math.log(1.0 - z)}, depth))
+    out = series_exp(NCPoly(X, {(1,): -math.log(1.0 - z)}, depth))
     for l in reversed(lyndon_words(X, max_length=depth)):
         if len(l) == 1:
             continue
         coef = sum(float(c) * polylog_eval(v, z, n_terms, X)[0]
                    for v, c in dual_s(l).terms.items())
-        p = TruncatedNCSeries.from_ncpoly(pbw_p(l), depth)
-        out = out * series_exp(p.scale(coef))
-    out = out * series_exp(TruncatedNCSeries(
-        X, {(0,): math.log(z)}, depth))
-    return out
+        out = out * series_exp(pbw_p(l).truncate(depth).scale(coef))
+    return out * series_exp(NCPoly(X, {(0,): math.log(z)}, depth))
 
 
 def chen_between(z0, z1, depth, n_terms=None):
@@ -324,8 +197,8 @@ def chen_endpoint_sanity(eps_list=(0.1, 0.03, 0.01), depth=2):
     target = math.pi ** 2 / 6.0
     for eps in eps_list:
         s = chen_between(eps, 1.0 - eps, depth)
-        left = series_exp(TruncatedNCSeries(X, {(1,): math.log(eps)}, depth))
-        right = series_exp(TruncatedNCSeries(X, {(0,): math.log(eps)}, depth))
+        left = series_exp(NCPoly(X, {(1,): math.log(eps)}, depth))
+        right = series_exp(NCPoly(X, {(0,): math.log(eps)}, depth))
         reg = left * s * right
         out.append((eps, reg.coeff((0, 1)) - target))
     return out
@@ -336,22 +209,21 @@ def chen_endpoint_sanity(eps_list=(0.1, 0.03, 0.01), depth=2):
 
 def harmonic_truncated_series(n, max_weight):
     """H(n) as a float Y-series up to a weight (numpy-backed per word)."""
-    from ncgen.ncpoly import words_up_to
     t = {w: harmonic_float(w, n) for w in words_up_to(Y, max_weight)}
-    return TruncatedNCSeries(Y, t, max_weight)
+    return NCPoly(Y, t, max_weight)
 
 
 def n_side_limit_series(max_weight, n=DEFAULT_N):
     """exp(sum_k H_{y_k}(n) (-y1)^k / k) H(n)."""
     coefs = {k: harmonic_float((k,), n) * (-1.0) ** k / k
              for k in range(1, max_weight + 1)}
-    return _y1_exponent(coefs, max_weight) * harmonic_truncated_series(n, max_weight)
+    return ncpoly_exp_y1(coefs, max_weight) * harmonic_truncated_series(n, max_weight)
 
 
 def z_side_series(z, max_weight, n_terms=None):
     """exp(-y1 log(1/(1-z))) pi_Y(L(z))."""
     lz = l_series(z, max_weight, n_terms)
-    head = _y1_exponent({1: math.log(1.0 - z)}, max_weight)
+    head = ncpoly_exp_y1({1: math.log(1.0 - z)}, max_weight)
     return head * lz.pi_y()
 
 
@@ -370,7 +242,6 @@ def abel_limits_check(max_weight=3, n=DEFAULT_N,
     samples = [z_side_series(1.0 - eps, max_weight) for eps in eps_list]
     design = np.array([[1.0, e * math.log(e), e, e * math.log(e) ** 2]
                        for e in eps_list])
-    from ncgen.ncpoly import words_up_to
     words = words_up_to(Y, max_weight)
     report = {}
     worst = 0.0
@@ -418,7 +289,7 @@ def euler_maclaurin_constants(n=DEFAULT_N, depth=4):
     coefs = {1: gamma}
     for k in range(2, depth + 1):
         coefs[k] = -zeta_numeric(k, n) * (-1.0) ** k / k
-    series = _y1_exponent(coefs, depth)
+    series = ncpoly_exp_y1(coefs, depth)
     h11 = harmonic_float((1, 1), n)
     logn = math.log(n)
     numeric = h11 - logn ** 2 / 2.0 - gamma * logn
@@ -432,7 +303,6 @@ def euler_maclaurin_constants(n=DEFAULT_N, depth=4):
 
 def const_series(n, max_weight):
     """Exact y1-only part of H(n): sum_k H_{y1^k}(n) y1^k as an NCPoly."""
-    from ncgen.polylog import harmonic
     t = {}
     for k in range(0, max_weight + 1):
         t[(1,) * k] = harmonic((1,) * k, n)
@@ -440,21 +310,14 @@ def const_series(n, max_weight):
 
 
 def ncpoly_exp_y1(coefs, max_weight):
-    """Exact exp(sum_k coefs[k] y1^k) as an NCPoly, truncated by weight."""
-    arg = NCPoly(Y, {(1,) * k: c for k, c in coefs.items() if k <= max_weight})
-    out = NCPoly.one(Y)
-    power = NCPoly.one(Y)
-    for k in range(1, max_weight + 1):
-        power = (power * arg).truncate(max_weight)
-        if not power:
-            break
-        out = out + power.scale(Fraction(1, math.factorial(k)))
-    return out
+    """exp(sum_k coefs[k] y1^k), k >= 1, as a Y-series truncated by weight;
+    exact or float as the coefficients are."""
+    return series_exp(NCPoly(Y, {(1,) * k: c for k, c in coefs.items()},
+                             max_weight))
 
 
 def const_log_identity(n, max_weight):
     """Exact: Const(n) = exp(-sum_k H_{y_k}(n) (-y1)^k / k)."""
-    from ncgen.polylog import harmonic
     coefs = {k: -harmonic((k,), n) * Fraction((-1) ** k, k)
              for k in range(1, max_weight + 1)}
     return ncpoly_exp_y1(coefs, max_weight) == const_series(n, max_weight)
@@ -466,4 +329,4 @@ def mono_series(z, max_weight):
     t = {}
     for k in range(0, max_weight + 1):
         t[(1,) * k] = lg ** k / (math.factorial(k) * (1.0 - z))
-    return TruncatedNCSeries(Y, t, max_weight)
+    return NCPoly(Y, t, max_weight)

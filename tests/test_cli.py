@@ -205,6 +205,14 @@ def test_eval_li_tail_bound_overflow_exits_2(capsys):
     assert err.startswith("error:")
 
 
+def test_eval_li_terms_above_bound_exits_2(capsys):
+    # numpy refuses an array of 10^13 floats without allocating it
+    code, out, err = run(capsys, "eval", "li", "--word", "x0 x1", "--z", "0.5",
+                         "--terms", "10000000000000")
+    assert code == 2 and out == ""
+    assert err == "error: terms must be <= 400000, got 10000000000000\n"
+
+
 def test_bad_depth_cap_env(capsys, monkeypatch):
     for cap in ("abc", "0", "-3"):
         monkeypatch.setenv("NCGEN_MAX_DEPTH", cap)

@@ -11,7 +11,6 @@ from ncgen.dynsys import (
     StatePoly,
     VectorField,
     chen_drift,
-    chen_factorized,
     chen_ode,
     dyson_output,
     fliess_output,
@@ -29,6 +28,7 @@ from ncgen.dynsys import (
 )
 from ncgen.ncpoly import is_grouplike, words_up_to
 from ncgen.rational import rep_hypergeometric
+from ncgen.renorm import chen_between
 from ncgen.words import X
 
 F = Fraction
@@ -81,7 +81,7 @@ def test_operator_order_matches_linear_representation():
 
 def test_chen_ode_matches_factorized():
     ode = chen_ode(0.2, 0.5, 4)
-    fact = chen_factorized(0.2, 0.5, 4)
+    fact = chen_between(0.2, 0.5, 4)
     assert ode.max_abs_diff(fact) < 1e-8
 
 

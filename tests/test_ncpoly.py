@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncgen.ncpoly import (
     NCPoly, conc, coproduct_shuffle, coproduct_stuffle, grouplike_err,
     is_grouplike, pi_x_poly, pi_y_poly, poly_to_str, residual_left,
-    residual_right, shuffle, shuffle_words, stuffle, stuffle_words,
-    words_up_to,
+    residual_right, series_exp, shuffle, shuffle_words, stuffle,
+    stuffle_words, words_up_to,
 )
 from ncgen.words import X, Y, Y0
 
@@ -49,6 +49,14 @@ def test_shuffle_term_count():
         v = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 5)))
         total = sum(shuffle_words(u, v).values())
         assert total == math.comb(len(u) + len(v), len(u))
+
+
+def test_word_products_are_read_only():
+    for product in (shuffle_words, stuffle_words):
+        d = product((1,), (2,))
+        with pytest.raises(TypeError):
+            d[(1, 2)] = 5
+        assert product((1,), (2,))[(1, 2)] == 1
 
 
 # -- stuffle ----------------------------------------------------------
@@ -217,3 +225,47 @@ def test_poly_to_str():
     P = W((0, 0, 0, 1, 1), c=2) + W((0, 0, 1, 0, 1))
     assert poly_to_str(P) == "2 x0 x0 x0 x1 x1 + x0 x0 x1 x0 x1"
     assert poly_to_str(NCPoly.zero()) == "0"
+
+
+# -- exact and float series, truncated -------------------------------
+
+x_series = st.dictionaries(
+    st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5)
+
+
+def _kind(P, kind):
+    return all(type(c) is kind for c in P.terms.values())
+
+
+def _as_float(P):
+    return NCPoly(P.alphabet, {w: float(c) for w, c in P.terms.items()},
+                  P.depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_series, x_series, st.integers(1, 4),
+       st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool))
+def test_series_kind_is_kept(p, q, depth, c0):
+    P, Q = NCPoly(X, p, depth), NCPoly(X, q, depth)
+    assume(P and Q)  # the kind is read from the coefficients; 0 has none
+    ops = {
+        "add": lambda P, Q, s: P + Q,
+        "sub": lambda P, Q, s: P - Q,
+        "conc": lambda P, Q, s: P * Q,
+        "scale": lambda P, Q, s: P.scale(s),
+        "exp": lambda P, Q, s: series_exp(P),
+        "inverse": lambda P, Q, s: (NCPoly(X, {(): s}, depth) + P).inverse(),
+        "pi_y": lambda P, Q, s: P.pi_y(),
+    }
+    for name, op in ops.items():
+        exact = op(P, Q, c0)
+        approx = op(_as_float(P), _as_float(Q), float(c0))
+        assert _kind(exact, Fraction) and _kind(approx, float), name
+        for w in set(exact.terms) | set(approx.terms):
+            e = exact.coeff(w)
+            assert abs(approx.coeff(w) - e) <= 1e-12 * max(1, abs(e)), name
+    # products are cut at the depth
+    full = NCPoly(X, p) * NCPoly(X, q)
+    assert P * Q == full.truncate(depth)
+    assert series_exp(P) * series_exp(-P) == NCPoly.one(X)
