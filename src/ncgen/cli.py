@@ -333,18 +333,19 @@ def cmd_verify(args):
 
 def cmd_eval(args):
     if args.which == "li":
-        from ncgen.polylog import polylog_eval
+        from ncgen.polylog import auto_terms, polylog_eval
         word, alphabet = _parse_word(args.word)
         if args.z is None:
             raise CLIError("li needs --z")
+        terms = auto_terms(args.z) if args.terms is None else args.terms
         try:
-            value, tail = polylog_eval(word, args.z, args.terms, alphabet)
+            value, tail = polylog_eval(word, args.z, terms, alphabet)
         except (ValueError, OverflowError) as exc:
             raise CLIError(str(exc)) from None
-        payload = {"word": args.word, "z": args.z, "terms": args.terms,
+        payload = {"word": args.word, "z": args.z, "terms": terms,
                    "value": value, "tail_bound": tail}
         _emit(args, payload,
-              lambda p: ["Li_{%s}(%g) = %s  (tail <= %s)"
+              lambda p: ["Li_{%s}(%s) = %s  (tail <= %s)"
                          % (p["word"], p["z"], p["value"], p["tail_bound"])])
         return 0
 
@@ -448,7 +449,7 @@ def build_parser():
     p.add_argument("which", choices=("li", "hneg"))
     p.add_argument("--word", required=True)
     p.add_argument("--z", type=_FINITE, default=None)
-    p.add_argument("--terms", type=_POSITIVE, default=400)
+    p.add_argument("--terms", type=_POSITIVE, default=None)
     p.add_argument("--n", type=_NONNEGATIVE, default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -10,10 +10,10 @@ Shuffle side (alphabet X, also works verbatim over Y):
 Quasi-shuffle side (alphabet Y): same bracketing with the primitive
 projector pi1 applied to letters, Pi_y = pi1(y).  The dual family Sigma
 is pinned by <Pi_u | Sigma_v> = delta_{u,v}; since Pi_w = w + (strictly
-larger words of the same weight), the weight-graded coefficient matrix
-is unitriangular and Sigma is obtained by exact inversion per weight
-block.  For non-Lyndon words Sigma also satisfies the stuffle-power
-product formula, which the tests check against the inversion.
+larger words of the same weight), every word peels (ncpoly.peel) into
+the Pi basis, and <w | Sigma_v> is the Pi_v coordinate of the word w.
+For non-Lyndon words Sigma also satisfies the stuffle-power product
+formula, which the tests check against the peeled block.
 
 pi1 is the convolution logarithm of the identity restricted to the
 augmentation ideal: pi1(w) = sum_{k>=1} ((-1)^(k-1)/k) conc o reduced
@@ -25,12 +25,12 @@ from fractions import Fraction
 from math import factorial
 
 from .ncpoly import (
-    NCPoly, _word_coproduct, conc, shuffle, shuffle_words, shuffle_power,
-    stuffle, stuffle_words, stuffle_power, words_up_to,
+    NCPoly, _word_coproduct, conc, peel, shuffle, shuffle_words,
+    shuffle_power, stuffle, stuffle_words, stuffle_power, words_up_to,
 )
 from .words import (
     X, Y, is_lyndon, lyndon_decompose, lyndon_words, standard_factorization,
-    weight, word_key,
+    word_key,
 )
 
 _pbw_p_memo = {}
@@ -149,13 +149,6 @@ def pbw_pi(w):
     return got
 
 
-def _pairing(P, Q):
-    if len(P.terms) > len(Q.terms):
-        P, Q = Q, P
-    return sum((c * Q.terms[u] for u, c in P.terms.items() if u in Q.terms),
-               Fraction(0))
-
-
 def _sigma_block(n):
     """Map word -> Sigma_w expansion for all Y-words of weight n."""
     got = _sigma_block_memo.get(n)
@@ -163,23 +156,12 @@ def _sigma_block(n):
         return got
     ws = sorted((w for w in words_up_to(Y, n) if sum(w) == n),
                 key=lambda w: word_key(w, Y))
-    m = len(ws)
-    # rows: M[i][j] = <Pi_{ws[i]} | ws[j]>, unitriangular in this order
-    M = [[pbw_pi(u).coeff(v) for v in ws] for u in ws]
-    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        piv = M[col][col]
-        assert piv == 1, "Pi triangularity violated"
-        for row in range(m):
-            if row != col and M[row][col]:
-                f = M[row][col]
-                for j in range(m):
-                    M[row][j] -= f * M[col][j]
-                    inv[row][j] -= f * inv[col][j]
-    # Sigma_{ws[j]} = sum_i inv[i][j] ws[i]  (transpose of the inverse)
-    block = {}
-    for j, w in enumerate(ws):
-        block[w] = NCPoly(Y, {ws[i]: inv[i][j] for i in range(m)})
+    # w = sum_v <w | Sigma_v> Pi_v; the sorted order fixes the term order
+    cols = {v: {} for v in ws}
+    for w in ws:
+        for v, c in decompose_in_basis(NCPoly.word(w, Y), "Pi").items():
+            cols[v][w] = c
+    block = {v: NCPoly(Y, col) for v, col in cols.items()}
     _sigma_block_memo[n] = block
     return block
 
@@ -204,36 +186,25 @@ def sigma_by_products(w):
 # ---------------------------------------------------------------------------
 # coordinates in a basis
 
-_BASIS_FN = {}
+_BASIS_FN = {"S": dual_s, "P": pbw_p, "Sigma": dual_sigma, "Pi": pbw_pi}
 
 
 def decompose_in_basis(P, kind):
     """Exact coordinates of P in one of the bases: kind in {"S","P","Sigma","Pi"}.
 
-    Uses triangular peeling: S/Sigma have strictly smaller tails, P/Pi
-    strictly larger tails, so picking the extreme remaining word and
-    subtracting its basis element terminates.
+    Triangular peeling (ncpoly.peel): S/Sigma have strictly smaller
+    tails, P/Pi strictly larger tails, so picking the extreme remaining
+    word and subtracting its basis element terminates.
     """
-    if not _BASIS_FN:
-        _BASIS_FN.update({"S": dual_s, "P": pbw_p,
-                          "Sigma": dual_sigma, "Pi": pbw_pi})
     basis = _BASIS_FN[kind]
     alphabet = P.alphabet
-    pick_min = kind in ("P", "Pi")
-    rem = NCPoly(alphabet, dict(P.terms))
-    coords = {}
-    while rem.terms:
-        extreme = (min if pick_min else max)(
-            rem.terms, key=lambda w: word_key(w, alphabet))
-        c = rem.terms[extreme]
-        coords[extreme] = coords.get(extreme, Fraction(0)) + c
-        rem = rem - basis(extreme).scale(c)
-    return {w: c for w, c in coords.items() if c}
+    coords, _ = peel(P.terms, lambda w: basis(w).terms,
+                     min if kind in ("P", "Pi") else max,
+                     lambda w: word_key(w, alphabet))
+    return coords
 
 
 def recompose_from_basis(coords, kind, alphabet=None):
-    if not _BASIS_FN:
-        decompose_in_basis(NCPoly.zero(), "S")
     basis = _BASIS_FN[kind]
     alphabet = alphabet or (X if kind in ("S", "P") else Y)
     out = NCPoly(alphabet)

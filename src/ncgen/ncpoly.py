@@ -17,8 +17,12 @@ duality <Delta(w) | u(x)v> = <w | u*v> is what the tests pin down.
 
 Residuals (shifts): (P <| S) has coefficients <S | wP> (strip P from the
 right), (S |> P) has <S | Pw> (strip P from the left).
+
+peel is the one exact elimination, behind basis coordinates, the Sigma
+blocks and the Hankel rank.
 """
 
+import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -394,42 +398,66 @@ def coproduct_stuffle(P):
 # ---------------------------------------------------------------------------
 # residuals
 
-def residual_left(P, S):
-    """P <| S with <P <| S | w> = <S | wP>: strip P off the right end of S."""
+def _residual(S, P, right):
+    """Strip P off one end of S: the left end (<S | Pw>) or, right=True,
+    the right end (<S | wP>)."""
     P._check(S)
     t = {}
     for s, cs in S.terms.items():
         for p, cp in P.terms.items():
-            n = len(p)
-            if n == 0:
-                w = s
-            elif n <= len(s) and s[len(s) - n:] == p:
-                w = s[:len(s) - n]
-            else:
+            if len(p) > len(s):
+                continue
+            k = len(s) - len(p) if right else len(p)
+            end, w = (s[k:], s[:k]) if right else (s[:k], s[k:])
+            if end != p:
                 continue
             c = cs * cp
             prev = t.get(w)
             t[w] = c if prev is None else prev + c
     return NCPoly._new(S.alphabet, t, S.depth)
+
+
+def residual_left(P, S):
+    """P <| S with <P <| S | w> = <S | wP>: strip P off the right end of S."""
+    return _residual(S, P, True)
 
 
 def residual_right(S, P):
     """S |> P with <S |> P | w> = <S | Pw>: strip P off the left end of S."""
-    P._check(S)
-    t = {}
-    for s, cs in S.terms.items():
-        for p, cp in P.terms.items():
-            n = len(p)
-            if n == 0:
-                w = s
-            elif n <= len(s) and s[:n] == p:
-                w = s[n:]
+    return _residual(S, P, False)
+
+
+# ---------------------------------------------------------------------------
+# triangular elimination
+
+def peel(terms, pivot, extreme=min, key=None):
+    """Exact triangular elimination: terms = sum coords[w] pivot(w) + rest.
+
+    Takes the extreme remaining word (extreme over key) and subtracts its
+    row pivot(word), a map word -> coefficient leading with 1 at that
+    word, times the word's coefficient.  Stops when nothing is left or
+    pivot returns None.  A row that does not lead with 1, or that brings
+    back a word already peeled, raises ArithmeticError.
+    """
+    if key is not None:
+        key = functools.cache(key)  # one key per word, not one per comparison
+    rest = {w: c for w, c in terms.items() if c}
+    coords = {}
+    while rest:
+        w = extreme(rest, key=key)
+        row = pivot(w)
+        if row is None:
+            break
+        if row.get(w) != 1 or w in coords:
+            raise ArithmeticError("the row of %r does not lead with 1" % (w,))
+        c = coords[w] = rest[w]
+        for v, r in row.items():
+            x = rest.get(v, 0) - c * r
+            if x:
+                rest[v] = x
             else:
-                continue
-            c = cs * cp
-            prev = t.get(w)
-            t[w] = c if prev is None else prev + c
-    return NCPoly._new(S.alphabet, t, S.depth)
+                rest.pop(v, None)
+    return coords, rest
 
 
 # ---------------------------------------------------------------------------

@@ -89,13 +89,19 @@ def harmonic_series(N, max_weight):
     return out
 
 
+def auto_terms(z):
+    """The term count polylog_eval sums when given terms=None: |z|^T
+    below ~1e-17 even for z near 1, at least 2000, at most MAX_TERMS."""
+    return int(min(MAX_TERMS, max(2000, 40.0 / max(1e-9, 1.0 - abs(z)))))
+
+
 def polylog_eval(w, z, terms=400, alphabet=None):
     """Partial-sum value of Li_w(z) for |z| < 1, with a tail bound.
 
     w is read in the alphabet given: an X-word must lie in X*x1 (it codes
     an index word), a Y/Y0 word is one.  Without it a word over {0, 1} is
-    read as an X-word.  terms=None keeps |z|^T below ~1e-17 even for z
-    near 1; terms above MAX_TERMS are refused.  The empty word gives 1.
+    read as an X-word.  terms=None sums auto_terms(z) terms; terms above
+    MAX_TERMS are refused.  The empty word gives 1.
     Returns (value, tail_bound); the bound is the geometric tail
     |z|^(T+1)/(1-|z|) inflated by the crude polylog-growth safety factor
     (T+1)^|w|.
@@ -115,7 +121,7 @@ def polylog_eval(w, z, terms=400, alphabet=None):
     if not w:
         return 1.0, 0.0
     if terms is None:
-        terms = int(min(MAX_TERMS, max(2000, 40.0 / max(1e-9, 1.0 - abs(z)))))
+        terms = auto_terms(z)
     import numpy as np
     h = harmonic_array(w, terms)
     n = np.arange(0, terms + 1, dtype=float)
@@ -303,21 +309,7 @@ class FElem:
         return not self.terms
 
     def dz(self):
-        out = {}
-
-        def acc(w, c):
-            if c.is_zero():
-                return
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-
-        for w, c in self.terms.items():
-            acc(w, c.derivative())
-            if w:
-                head, tail = w[0], w[1:]
-                factor = RatZ.z_pow(-1) if head == 0 else RatZ.uinv_pow(1)
-                acc(tail, c * factor)
-        return FElem(out)
+        return self._theta(_ONE)
 
     def theta0(self):
         return self._theta(RatZ.z_pow(1))

@@ -3,12 +3,14 @@
 A series S over an alphabet is rational when its coefficients factor
 through matrices: <S|w> = lambda mu(w1) mu(w2) ... mu(wk) eta, with the
 first letter of w applied first.  Everything is exact (Fractions).
+The Hankel rank peels each Hankel row (ncpoly.peel) against the pivot
+rows found so far; the rank is the number of pivots.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from ncgen.ncpoly import NCPoly, coproduct_shuffle, words_up_to
+from ncgen.ncpoly import NCPoly, coproduct_shuffle, peel, words_up_to
 from ncgen.words import X, str_to_word, word_to_str
 
 _ZERO = Fraction(0)
@@ -61,9 +63,18 @@ class LinearRepresentation:
             row = _vec_mat(row, self.mu[a])
         return _dot(row, self.eta)
 
+    def _coefficients(self, words):
+        """Map w -> <S|w> on prefix-closed words listed prefixes first;
+        one product per word: row(w) = row(w[:-1]) mu(last letter)."""
+        rows = {(): self.lam}
+        for w in words:
+            if w not in rows:
+                rows[w] = _vec_mat(rows[w[:-1]], self.mu[w[-1]])
+        return {w: _dot(row, self.eta) for w, row in rows.items()}
+
     def truncated_series(self, depth):
-        t = {w: self.coefficient(w) for w in words_up_to(self.alphabet, depth)}
-        return NCPoly(self.alphabet, t)
+        return NCPoly(self.alphabet,
+                      self._coefficients(words_up_to(self.alphabet, depth)))
 
     def residual(self, p, side):
         """Representation of the residual of the series by a polynomial.
@@ -155,36 +166,27 @@ def rep_hypergeometric(t0, t1, t2, q0=(1, 0)):
 def hankel_rank(coefficient, alphabet=X, depth=3):
     """Rank of the Hankel section on words of length/weight <= depth.
 
-    coefficient: word -> Fraction (or a LinearRepresentation).  Exact
-    Gaussian elimination over Q.
+    coefficient: word -> Fraction (or a LinearRepresentation, whose
+    coefficients are then swept prefix by prefix).  Exact over Q: each
+    row (<S|uv>)_v is peeled (ncpoly.peel) against the pivot rows kept
+    so far, each scaled to lead with 1; a row with something left adds a
+    pivot, and the rank is the number of pivots.
     """
     if isinstance(coefficient, LinearRepresentation):
-        rep = coefficient
-        alphabet = rep.alphabet
-        coefficient = rep.coefficient
+        alphabet = coefficient.alphabet
     ws = words_up_to(alphabet, depth)
-    rows = [[Fraction(coefficient(u + v)) for v in ws] for u in ws]
-    rank = 0
-    ncols = len(ws)
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = [c * inv for c in pr]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    if isinstance(coefficient, LinearRepresentation):
+        coefficient = coefficient._coefficients(
+            u + v for u in ws for v in ws).get
+    pivots = {}
+    for u in ws:
+        row = {j: Fraction(coefficient(u + v)) for j, v in enumerate(ws)}
+        _, rest = peel(row, pivots.get)
+        if rest:
+            lead = min(rest)
+            inv = 1 / rest[lead]
+            pivots[lead] = {j: c * inv for j, c in rest.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +200,8 @@ def growth_condition_check(coefficient, alphabet=X, depth=6, K=None, C=None):
     sampled lengths (an estimate, not a certificate).
     """
     if isinstance(coefficient, LinearRepresentation):
-        rep = coefficient
-        alphabet = rep.alphabet
-        coefficient = rep.coefficient
+        alphabet = coefficient.alphabet
+        coefficient = coefficient.truncated_series(depth).coeff
     by_length = {}
     for w in words_up_to(alphabet, depth):
         L = len(w)

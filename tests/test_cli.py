@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgen.cli import main
+from ncgen.polylog import auto_terms
 
 
 def run(capsys, *argv):
@@ -140,6 +142,22 @@ def test_eval_li_text(capsys):
     code, out, _ = run(capsys, "eval", "li", "--word", "y2", "--z", "0.5")
     assert code == 0
     assert "0.5822" in out
+
+
+def test_eval_li_counts_its_own_terms(capsys):
+    # the automatic count near z = 1, reported as the count summed
+    code, out = run_json(capsys, "--format", "json", "--precision", "17",
+                         "eval", "li", "--word", "y1", "--z", "0.999")
+    assert code == 0
+    assert abs(out["value"] + math.log(0.001)) < 1e-13
+    assert out["terms"] == auto_terms(0.999)
+
+
+def test_eval_li_text_prints_z_as_given(capsys):
+    code, out, _ = run(capsys, "eval", "li", "--word", "y1", "--z",
+                       "-0.99999999")
+    assert code == 0
+    assert out.startswith("Li_{y1}(-0.99999999) = ")
 
 
 def test_eval_hneg_polynomial(capsys):

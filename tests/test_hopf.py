@@ -189,6 +189,17 @@ def test_sigma_product_formula_agrees():
         assert sigma_by_products(w) == dual_sigma(w), w
 
 
+def test_sigma_weight_seven():
+    ws = [w for w in words_up_to(Y, 7) if sum(w) == 7]
+    for u in ws:
+        su = dual_sigma(u)
+        assert sigma_by_products(u) == su, u
+        for v in ws:
+            got = sum((c * pbw_pi(v).coeff(w) for w, c in su.terms.items()),
+                      Fraction(0))
+            assert got == Fraction(int(u == v)), (u, v)
+
+
 # -- basis decomposition ----------------------------------------------
 
 def test_decompose_unit_coordinates():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncgen.ncpoly import (
     NCPoly, conc, coproduct_shuffle, coproduct_stuffle, grouplike_err,
-    is_grouplike, pi_x_poly, pi_y_poly, poly_to_str, residual_left,
+    is_grouplike, peel, pi_x_poly, pi_y_poly, poly_to_str, residual_left,
     residual_right, series_exp, shuffle, shuffle_words, stuffle,
     stuffle_words, words_up_to,
 )
@@ -269,3 +269,20 @@ def test_series_kind_is_kept(p, q, depth, c0):
     full = NCPoly(X, p) * NCPoly(X, q)
     assert P * Q == full.truncate(depth)
     assert series_exp(P) * series_exp(-P) == NCPoly.one(X)
+
+
+# -- triangular peel --------------------------------------------------
+
+def test_peel_coordinates_and_rest():
+    rows = {(0,): {(0,): 1, (1,): Fraction(1, 2)}}
+    coords, rest = peel({(0,): 2, (1,): 3}, rows.get)
+    assert coords == {(0,): 2} and rest == {(1,): 2}
+
+
+def test_peel_rejects_rows_that_do_not_lead_with_one():
+    with pytest.raises(ArithmeticError):
+        peel({(0,): 1}, {(0,): {(0,): 2, (1,): 1}}.get)
+    # each row brings back the other's word: peeling would never end
+    rows = {(0,): {(0,): 1, (1,): 1}, (1,): {(1,): 1, (0,): 1}}
+    with pytest.raises(ArithmeticError):
+        peel({(0,): 1}, rows.get)

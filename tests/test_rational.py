@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from ncgen.ncpoly import NCPoly
+from ncgen.ncpoly import NCPoly, words_up_to
 from ncgen.rational import (
     LinearRepresentation,
     growth_condition_check,
@@ -55,6 +57,31 @@ def test_hankel_rank_single_word():
 def test_hankel_rank_hypergeometric():
     rep = rep_hypergeometric(F(1, 4), F(1, 4), F(1, 3), q0=(1, 1))
     assert hankel_rank(rep, depth=3) == 2
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _reps(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.lists(_small, min_size=n, max_size=n)
+    mat = st.lists(vec, min_size=n, max_size=n)
+    return LinearRepresentation(X, draw(vec), {0: draw(mat), 1: draw(mat)},
+                                draw(vec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reps(), st.integers(0, 3))
+def test_rep_series_and_hankel_rank(rep, depth):
+    ws = words_up_to(X, depth)
+    series = rep.truncated_series(depth)
+    for w in ws:
+        assert series.coeff(w) == rep.coefficient(w), w
+    H = [[rep.coefficient(u + v) for v in ws] for u in ws]
+    rank = sympy.Matrix(H).rank()
+    assert hankel_rank(rep, depth=depth) == rank
+    assert hankel_rank(rep.coefficient, X, depth) == rank
 
 
 def test_residual_representations():
