@@ -108,10 +108,6 @@ def cmd_lyndon(args):
 # ---------------------------------------------------------------------------
 # tables
 
-def _poly_json(p):
-    return p.to_json_dict()["terms"]
-
-
 def cmd_table(args):
     from ncgen import asymptotics, hopf, ncpoly, negpolylog
 
@@ -122,37 +118,33 @@ def cmd_table(args):
                                max_weight=args.max_weight)
         except ValueError as exc:
             raise CLIError(str(exc)) from None
-        rows = []
-        for l in lws:
-            if alphabet == X:
-                p, s = hopf.pbw_p(l), hopf.dual_s(l)
-            else:
-                p, s = hopf.pbw_pi(l), hopf.dual_sigma(l)
-            rows.append({"lyndon": word_to_str(l, alphabet),
-                         "p": _poly_json(p), "s": _poly_json(s)})
-        payload = {"alphabet": alphabet, "rows": rows}
-        _emit(args, payload, lambda pl: [
+        if alphabet == X:
+            pairs = [(hopf.pbw_p(l), hopf.dual_s(l)) for l in lws]
+        else:
+            pairs = [(hopf.pbw_pi(l), hopf.dual_sigma(l)) for l in lws]
+        names = [word_to_str(l, alphabet) for l in lws]
+        rows = [{"lyndon": name, "p": p.to_json_dict()["terms"],
+                 "s": s.to_json_dict()["terms"]}
+                for name, (p, s) in zip(names, pairs)]
+        _emit(args, {"alphabet": alphabet, "rows": rows}, lambda _: [
             "%-12s  P = %s\n%-12s  S = %s" % (
-                r["lyndon"], ncpoly.poly_to_str(_terms_to_poly(r["p"], pl["alphabet"])),
-                "", ncpoly.poly_to_str(_terms_to_poly(r["s"], pl["alphabet"])))
-            for r in pl["rows"]])
+                name, ncpoly.poly_to_str(p), "", ncpoly.poly_to_str(s))
+            for name, (p, s) in zip(names, pairs)])
         return 0
 
     if args.which == "pi-sigma":
         if args.max_weight is None:
             raise CLIError("pi-sigma needs --max-weight")
-        rows = []
-        for w in ncpoly.words_up_to(Y, args.max_weight):
-            if not w:
-                continue
-            rows.append({"word": word_to_str(w, Y),
-                         "pi": _poly_json(hopf.pbw_pi(w)),
-                         "sigma": _poly_json(hopf.dual_sigma(w))})
-        _emit(args, {"rows": rows}, lambda pl: [
+        ws = [w for w in ncpoly.words_up_to(Y, args.max_weight) if w]
+        names = [word_to_str(w, Y) for w in ws]
+        pairs = [(hopf.pbw_pi(w), hopf.dual_sigma(w)) for w in ws]
+        rows = [{"word": name, "pi": p.to_json_dict()["terms"],
+                 "sigma": s.to_json_dict()["terms"]}
+                for name, (p, s) in zip(names, pairs)]
+        _emit(args, {"rows": rows}, lambda _: [
             "%-10s  Pi = %-40s Sigma = %s" % (
-                r["word"], ncpoly.poly_to_str(_terms_to_poly(r["pi"], Y)),
-                ncpoly.poly_to_str(_terms_to_poly(r["sigma"], Y)))
-            for r in pl["rows"]])
+                name, ncpoly.poly_to_str(p), ncpoly.poly_to_str(s))
+            for name, (p, s) in zip(names, pairs)])
         return 0
 
     if args.which == "cminus":
@@ -184,11 +176,6 @@ def cmd_table(args):
         return 0
 
     raise CLIError("unknown table %r" % args.which)
-
-
-def _terms_to_poly(terms, alphabet):
-    from ncgen.ncpoly import NCPoly
-    return NCPoly.from_json_dict({"terms": terms}, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +370,15 @@ def cmd_simulate(args):
     )
     try:
         system = load_system(args.system)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CLIError("cannot load system: %s" % exc) from None
     depth = args.depth
     if args.z is not None:
         z0 = args.z0 if args.z0 is not None else (system.z0 or 0.2)
-        chen = chen_ode(z0, args.z, depth)
+        try:
+            chen = chen_ode(z0, args.z, depth)
+        except ValueError as exc:
+            raise CLIError("z0 = %s, z = %s: %s" % (z0, args.z, exc)) from None
         y = fliess_output(system, chen, depth)
         payload = {"mode": "forms", "z0": z0, "z": args.z,
                    "depth": depth, "output": y}

@@ -146,6 +146,8 @@ class PolySystem:
         self.observation = observation
         self.q0 = tuple(Fraction(c) for c in q0)
         self.z0 = z0
+        # a memo that lives and dies with the system; functools.cache on
+        # the method would keep every system alive
         self._derivative_memo = {(): observation}
 
     @property
@@ -431,6 +433,12 @@ def system_vanderpol(mu, q0):
 def load_system(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("want a JSON object, got %s" % type(data).__name__)
+    z0 = data.get("z0")
+    if z0 is not None and (isinstance(z0, bool)
+                           or not isinstance(z0, (int, float))):
+        raise ValueError("z0 must be a number, got %r" % (z0,))
     if "builtin" in data:
         name = data["builtin"]
         params = {k: Fraction(v) for k, v in data.get("params", {}).items()}

@@ -19,8 +19,14 @@ pi1 is the convolution logarithm of the identity restricted to the
 augmentation ideal: pi1(w) = sum_{k>=1} ((-1)^(k-1)/k) conc o reduced
 Delta_st^(k-1) (w).  Its image spans the primitives of the
 quasi-shuffle Hopf algebra.
+
+Caches: P and Pi (`_pbw`, keyed by word and alphabet), S (`_dual_s`),
+pi1 on words (`_pi1_word`) and the Sigma block of each weight
+(`_sigma_block`) are `functools.cache`s, so `_pbw.cache_info()` and so on
+report hits, misses and size.  The public names call them with tuple(w).
 """
 
+import functools
 from fractions import Fraction
 from math import factorial
 
@@ -33,60 +39,53 @@ from .words import (
     word_key,
 )
 
-_pbw_p_memo = {}
-_dual_s_memo = {}
-_pi1_memo = {}
-_pbw_pi_memo = {}
-_sigma_block_memo = {}
-
 
 def _bracket(a, b):
     return conc(a, b) - conc(b, a)
 
 
-def pbw_p(w):
-    """PBW basis element P_w over X (exact NCPoly)."""
-    w = tuple(w)
-    got = _pbw_p_memo.get(w)
-    if got is None:
-        got = _pbw_generic(w, X, lambda a: NCPoly.word((a,), X), pbw_p)
-        _pbw_p_memo[w] = got
-    return got
-
-
-def _pbw_generic(w, alphabet, letter_poly, self_fn):
-    if not w:
-        return NCPoly.one(alphabet)
+@functools.cache
+def _pbw(w, alphabet):
+    """P_w over X, Pi_w over Y: letters (pi1 of the letter over Y), brackets
+    along the standard factorization, powers along the Lyndon factorization."""
     if len(w) == 1:
-        return letter_poly(w[0])
+        return NCPoly.word(w, X) if alphabet == X else _pi1_word(w)
     if is_lyndon(w, alphabet):
         s, r = standard_factorization(w, alphabet)
-        return _bracket(self_fn(s), self_fn(r))
+        return _bracket(_pbw(s, alphabet), _pbw(r, alphabet))
     out = NCPoly.one(alphabet)
     for l, mult in lyndon_decompose(w, alphabet):
-        base = self_fn(l)
+        base = _pbw(l, alphabet)
         for _ in range(mult):
             out = conc(out, base)
     return out
 
 
+def pbw_p(w):
+    """PBW basis element P_w over X (exact NCPoly)."""
+    return _pbw(tuple(w), X)
+
+
+@functools.cache
+def _dual_s(w):
+    """S_w.  A Lyndon w = xu gives x S_u: the loop walks the Lyndon suffixes
+    and the first suffix that is not Lyndon (or empty) is the one recursion,
+    so a miss does not recurse once per letter."""
+    k = 0
+    while k < len(w) and is_lyndon(w[k:]):
+        k += 1
+    if k:
+        return conc(NCPoly.word(w[:k], X), _dual_s(w[k:]))
+    out = NCPoly.one(X)
+    for l, mult in lyndon_decompose(w):
+        out = shuffle(out, shuffle_power(_dual_s(l), mult))
+        out = out.scale(Fraction(1, factorial(mult)))
+    return out
+
+
 def dual_s(w):
     """Dual PBW basis element S_w over X: <S_u | P_v> = delta_{u,v}."""
-    w = tuple(w)
-    got = _dual_s_memo.get(w)
-    if got is not None:
-        return got
-    if not w:
-        out = NCPoly.one(X)
-    elif is_lyndon(w):
-        out = conc(NCPoly.word((w[0],), X), dual_s(w[1:]))
-    else:
-        out = NCPoly.one(X)
-        for l, mult in lyndon_decompose(w):
-            out = shuffle(out, shuffle_power(dual_s(l), mult))
-            out = out.scale(Fraction(1, factorial(mult)))
-    _dual_s_memo[w] = out
-    return out
+    return _dual_s(tuple(w))
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +100,8 @@ def _reduced_stuffle_coproduct(u):
     return out
 
 
-def pi1_word(w):
-    """Primitive projector pi1 on a single Y-word, as an NCPoly."""
-    w = tuple(w)
-    got = _pi1_memo.get(w)
-    if got is not None:
-        return got
+@functools.cache
+def _pi1_word(w):
     terms = {}
     # tensors: map (u1, ..., uk) -> coefficient <w | u1 st ... st uk>,
     # nonempty components; start at k=1 and split the last component.
@@ -125,9 +120,12 @@ def pi1_word(w):
                 nxt[key] = nxt.get(key, Fraction(0)) + c * m
         layer = nxt
         k += 1
-    out = NCPoly(Y, terms)
-    _pi1_memo[w] = out
-    return out
+    return NCPoly(Y, terms)
+
+
+def pi1_word(w):
+    """Primitive projector pi1 on a single Y-word, as an NCPoly."""
+    return _pi1_word(tuple(w))
 
 
 def pi1(P):
@@ -141,19 +139,12 @@ def pi1(P):
 
 def pbw_pi(w):
     """Quasi-shuffle PBW element Pi_w (pi1 at letters, brackets on Lyndon words)."""
-    w = tuple(w)
-    got = _pbw_pi_memo.get(w)
-    if got is None:
-        got = _pbw_generic(w, Y, lambda a: pi1_word((a,)), pbw_pi)
-        _pbw_pi_memo[w] = got
-    return got
+    return _pbw(tuple(w), Y)
 
 
+@functools.cache
 def _sigma_block(n):
     """Map word -> Sigma_w expansion for all Y-words of weight n."""
-    got = _sigma_block_memo.get(n)
-    if got is not None:
-        return got
     ws = sorted((w for w in words_up_to(Y, n) if sum(w) == n),
                 key=lambda w: word_key(w, Y))
     # w = sum_v <w | Sigma_v> Pi_v; the sorted order fixes the term order
@@ -161,9 +152,7 @@ def _sigma_block(n):
     for w in ws:
         for v, c in decompose_in_basis(NCPoly.word(w, Y), "Pi").items():
             cols[v][w] = c
-    block = {v: NCPoly(Y, col) for v, col in cols.items()}
-    _sigma_block_memo[n] = block
-    return block
+    return {v: NCPoly(Y, col) for v, col in cols.items()}
 
 
 def dual_sigma(w):

@@ -20,6 +20,10 @@ right), (S |> P) has <S | Pw> (strip P from the left).
 
 peel is the one exact elimination, behind basis coordinates, the Sigma
 blocks and the Hankel rank.
+
+Cache: the word products live in `_quasi_shuffle`, a `functools.cache`
+keyed by (u, v, quasi); `_quasi_shuffle.cache_info()` reports hits,
+misses and size.
 """
 
 import functools
@@ -31,26 +35,29 @@ from .words import X, Y, Y0, pi_x_word, pi_y_word, weight, word_to_str, str_to_w
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
-_word_products = {}
 
 
+@functools.cache
 def _quasi_shuffle(u, v, quasi):
     """u sh v (quasi: u st v) as a cached map word -> positive int.
 
     One recursion (Hoffman's quasi-shuffle): the shuffle is the case
-    without the contracted term.  The cached dicts are shared; callers
-    outside this module get them read-only.
+    without the contracted term.  (v, u) with v < u is answered by the
+    dict of (u, v).  A miss first fills the pairs with a shorter suffix
+    of u or of v, shortest first, so it recurses one level, not once per
+    letter.  The cached dicts are shared; callers outside this module get
+    them read-only.
     """
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
     if v < u:
-        u, v = v, u
-    key = (u, v, quasi)
-    got = _word_products.get(key)
-    if got is not None:
-        return got
+        return _quasi_shuffle(v, u, quasi)
+    for i in range(len(u) - 1, 0, -1):
+        _quasi_shuffle(u[i:], v, quasi)
+    for j in range(len(v) - 1, 0, -1):
+        _quasi_shuffle(u, v[j:], quasi)
     parts = [(u[0], u[1:], v), (v[0], u, v[1:])]
     if quasi:
         parts.append((u[0] + v[0], u[1:], v[1:]))
@@ -59,7 +66,6 @@ def _quasi_shuffle(u, v, quasi):
         for w, c in _quasi_shuffle(p, q, quasi).items():
             w = (a,) + w
             out[w] = out.get(w, 0) + c
-    _word_products[key] = out
     return out
 
 

@@ -20,8 +20,13 @@ extended Faulhaber identity, which pins everything the roundtrip checks
 need; longer words raise.  The first Faulhaber identity holds with the
 *inclusive* harmonic sum (innermost index allowed to reach 0), which
 only differs from H^- when the last shifted exponent is 0.
+
+Caches: `_li_neg` and `_h_neg` are `functools.cache`s keyed by the word
+(`cache_info()` reports hits, misses and size); li_neg and h_neg call
+them with tuple(w).  The Bernoulli numbers are a table grown in place.
 """
 
+import functools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -135,22 +140,20 @@ def theta0_t(p):
     return QPoly(out, T_VAR)
 
 
-_li_neg_memo = {}
+@functools.cache
+def _li_neg(w):
+    # Li^-_{y_s u} = theta0^s (lambda Li^-_u), looped from the last letter
+    out = QPoly.const(1, T_VAR)
+    for s in reversed(w):
+        out = LAMBDA_T * out
+        for _ in range(s):
+            out = theta0_t(out)
+    return out
 
 
 def li_neg(w):
     """Li^-_w as a polynomial in t = 1/(1-z); w over Y0 (indices >= 0)."""
-    w = tuple(w)
-    got = _li_neg_memo.get(w)
-    if got is None:
-        if not w:
-            got = QPoly.const(1, T_VAR)
-        else:
-            got = LAMBDA_T * li_neg(w[1:])
-            for _ in range(w[0]):
-                got = theta0_t(got)
-        _li_neg_memo[w] = got
-    return got
+    return _li_neg(tuple(w))
 
 
 def p_neg(w):
@@ -192,19 +195,15 @@ def _lagrange(points):
     return total
 
 
-_h_neg_memo = {}
+@functools.cache
+def _h_neg(w):
+    d = sum(w) + len(w)
+    return _lagrange([(n, h_neg_value(w, n)) for n in range(d + 1)])
 
 
 def h_neg(w):
     """H^-_w as an exact polynomial in N (degree (w)+|w|), by interpolation."""
-    w = tuple(w)
-    got = _h_neg_memo.get(w)
-    if got is None:
-        d = sum(w) + len(w)
-        pts = [(n, h_neg_value(w, n)) for n in range(d + 1)]
-        got = _lagrange(pts)
-        _h_neg_memo[w] = got
-    return got
+    return _h_neg(tuple(w))
 
 
 def h_neg_single_closed_form(m):
@@ -235,6 +234,7 @@ def eulerian(n, k):
                for j in range(k + 1))
 
 
+# a table grown in place (B_0, B_1, ...), not a memo of one call's result
 _bernoulli_cache = [Fraction(1)]
 
 

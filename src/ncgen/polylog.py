@@ -27,7 +27,9 @@ from fractions import Fraction
 from ncgen.ncpoly import NCPoly
 from ncgen.words import X, Y, pi_y_word
 
-_columns = {}  # exponent word e -> [S_e(0), S_e(1), ...], grown on demand
+# exponent word e -> [S_e(0), S_e(1), ...]: columns grown in place as
+# larger N are asked for, so a table, not a memo of one call's result
+_columns = {}
 MAX_TERMS = 400000  # polylog_eval's cap, the count it picks near z = 1
 
 

@@ -345,6 +345,29 @@ def test_simulate_missing_mode(tmp_path, capsys):
     assert "--z or --T" in err
 
 
+_OSCILLATOR = {"builtin": "oscillator", "params": {"k1": "1", "k2": "2"},
+               "q0": ["1"]}
+
+
+@pytest.mark.parametrize("system, argv", [
+    (_OSCILLATOR, ["--z", "1.5"]),
+    (_OSCILLATOR, ["--z", "-0.5"]),
+    (_OSCILLATOR, ["--z", "0.5", "--z0", "0"]),
+    ([1, 2], ["--z", "0.5"]),
+    ("builtin", ["--z", "0.5"]),
+    ({"m": 1, "fields": 5, "observation": [], "q0": ["0"]}, ["--z", "0.5"]),
+    (dict(_OSCILLATOR, z0="abc"), ["--z", "0.5"]),
+    (dict(_OSCILLATOR, z0="abc"), ["--T", "0.1"]),
+])
+def test_simulate_bad_segment_or_system_exits_2(tmp_path, capsys, system, argv):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, "simulate", "--system", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_depth_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NCGEN_MAX_DEPTH", "3")
     path = tmp_path / "osc.json"
