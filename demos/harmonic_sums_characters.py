@@ -6,7 +6,9 @@ This script
 2. compares partial sums at N = 100000 with the corresponding limits,
 3. evaluates a polylogarithm by series with a tail bound,
 4. prints regularized values for divergent words under both products and
-   checks the bridge between the two ordered generating series.
+   checks the bridge between the two ordered generating series; these
+   zeta values are not partial sums but coefficients of
+   Z_sh = sigma(L(1/2))^{-1} L(1/2), exact up to float rounding.
 """
 import math
 

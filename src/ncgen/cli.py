@@ -202,17 +202,19 @@ def verify_duality(args):
 def verify_grouplike(args):
     from ncgen.ncpoly import grouplike_err
     from ncgen.polylog import harmonic_series
-    from ncgen.renorm import z_shuffle_series, z_stuffle_series
+    from ncgen.renorm import rounding_tol, z_shuffle_series, z_stuffle_series
     depth = args.depth or 4
     h_err = float(grouplike_err(harmonic_series(10, depth), "stuffle", depth))
-    zsh_err = float(grouplike_err(z_shuffle_series(depth), "shuffle", depth))
-    zst_err = float(grouplike_err(z_stuffle_series(depth), "stuffle", depth))
+    zsh, zst = z_shuffle_series(depth), z_stuffle_series(depth)
+    zsh_err = float(grouplike_err(zsh, "shuffle", depth))
+    zst_err = float(grouplike_err(zst, "stuffle", depth))
     worst = max(h_err, zsh_err, zst_err)
     return {"identity": "grouplike", "depth": depth,
             "harmonic_err": h_err, "z_shuffle_err": zsh_err,
             "z_stuffle_err": zst_err,
             "max_abs_err": worst,
-            "pass": h_err == 0.0 and max(zsh_err, zst_err) <= 1e-3}
+            "pass": (h_err == 0.0 and zsh_err <= rounding_tol(zsh)
+                     and zst_err <= rounding_tol(zst))}
 
 
 def verify_bridge(args):
@@ -374,7 +376,9 @@ def cmd_simulate(args):
         raise CLIError("cannot load system: %s" % exc) from None
     depth = args.depth
     if args.z is not None:
-        z0 = args.z0 if args.z0 is not None else (system.z0 or 0.2)
+        z0 = args.z0 if args.z0 is not None else system.z0
+        if z0 is None:
+            z0 = 0.2
         try:
             chen = chen_ode(z0, args.z, depth)
         except ValueError as exc:

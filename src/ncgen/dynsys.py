@@ -457,5 +457,21 @@ def load_system(path):
         except KeyError:
             raise ValueError("unknown builtin system %r" % name) from None
         system.z0 = data.get("z0")
-        return system
-    return PolySystem.from_json_dict(data)
+    else:
+        m = data["m"]
+        if type(m) is not int or m < 1:
+            raise ValueError("m must be a positive integer, got %r" % (m,))
+        if any(len(fld) != m for fld in data["fields"]):
+            raise ValueError("every field needs m = %d components" % m)
+        system = PolySystem.from_json_dict(data)
+    m, fields = system.m, system.fields
+    if len(fields) < 2 or len(system.q0) != m:
+        raise ValueError("want fields for x0, x1 and m = %d entries in q0; "
+                         "got %d fields, %d entries"
+                         % (m, len(fields), len(system.q0)))
+    if not all(len(e) == m and all(type(a) is int and a >= 0 for a in e)
+               for p in [system.observation] + [c for f in fields
+                                                for c in f.components]
+               for e in p.terms):
+        raise ValueError("exponents must be m = %d integers >= 0" % m)
+    return system

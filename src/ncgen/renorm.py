@@ -3,15 +3,17 @@
 Everything here is numeric (float coefficients) but structurally exact:
 series are built as ordered products of exponentials of the primitive
 basis elements, so grouplikeness and character identities hold up to
-floating-point noise and finite-sum truncation of the zeta values.
+floating-point rounding.  So do the zeta values: no partial sum enters
+them (DEFAULT_N is the N of the N-side harmonic sums only).
 
 Contents:
   * the series are ncpoly.NCPoly with float coefficients and a depth
     (TruncatedNCSeries is another name for it), and series_exp is
     ncpoly.series_exp;
   * regularized zeta characters for the shuffle (X) and stuffle (Y)
-    sides, defined by sending the Lyndon-letter coordinates to zero in
-    the dual-basis factorization;
+    sides (zero on the letters x0, x1 and y1): coefficients of Z_sh =
+    sigma(L(1/2))^{-1} L(1/2) and of Z_st, each read at the depth of its
+    word from a functools.cache per depth (_z_sh, _z_st);
   * the two renormalized series Z and their comparison ("bridge"),
     which trades the letter y1 between the two sides;
   * the z -> 1 / N -> infinity Abel-type comparison of the polylog and
@@ -22,21 +24,16 @@ Contents:
   * the single-variable monomial/constant-part series in y1.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from ncgen.hopf import decompose_in_basis, dual_s, dual_sigma, pbw_p, pbw_pi
+from ncgen.hopf import dual_s, dual_sigma, pbw_p, pbw_pi
 from ncgen.ncpoly import NCPoly, series_exp, words_up_to
 from ncgen.polylog import harmonic, harmonic_float, polylog_eval
-from ncgen.words import (
-    X,
-    Y,
-    lyndon_decompose,
-    lyndon_words,
-    pi_y_word,
-)
+from ncgen.words import X, Y, lyndon_words, pi_x_word
 
 DEFAULT_N = 100000
 
@@ -53,112 +50,100 @@ def li_numeric(w, z, n_terms=None):
     return polylog_eval(w, z, n_terms)[0]
 
 
-def zeta_numeric(w, n=DEFAULT_N):
-    """Partial-sum zeta value: int k -> zeta(k); Y-word -> zeta(s1,...,sr)."""
-    if isinstance(w, int):
-        w = (w,)
-    w = tuple(w)
-    if not w:
-        return 1.0
-    if w[0] < 2:
+@functools.cache
+def _z_sh(depth):
+    """Z_sh up to a depth by the Hoelder convolution at p = 2:
+    Z_sh = sigma(L(1/2))^{-1} L(1/2), where sigma swaps x0 and x1 and
+    multiplies the coefficient of w by (-1)^|w| (t -> 1 - t sends dt/t to
+    -dt/(1-t)); no word reversal.  Each Li at 1/2 converges like 2^-n.
+    Shared by every caller: read it, never change it."""
+    half = l_series(0.5, depth)
+    swapped = {tuple(1 - a for a in w): -c if len(w) % 2 else c
+               for w, c in half.terms.items()}
+    return NCPoly(X, swapped, depth).inverse() * half
+
+
+def zeta_numeric(w):
+    """zeta(k) for an int k, zeta(s1,...,sr) for a convergent Y-word:
+    <Z_sh | pi_X(w)>, exact up to float rounding."""
+    w = (w,) if isinstance(w, int) else tuple(w)
+    if w and w[0] < 2:
         raise ValueError("divergent at %r; use a regularized character" % (w,))
-    return harmonic_float(w, n)
+    return zeta_shuffle_reg(pi_x_word(w))
 
 
-def _zeta_of_dual(poly, n):
-    """Numeric value of a dual-basis element: a combination of convergent words."""
-    total = 0.0
-    for v, c in poly.terms.items():
-        if poly.alphabet == X:
-            yv = pi_y_word(v)
-            if yv is None or yv[0] < 2:
-                raise AssertionError("divergent word in dual element: %r" % (v,))
-        else:
-            yv = v
-            if yv[0] < 2:
-                raise AssertionError("divergent word in dual element: %r" % (v,))
-        total += float(c) * zeta_numeric(yv, n)
-    return total
-
-
-def zeta_shuffle_reg(w, n=DEFAULT_N):
-    """Shuffle-regularized zeta of any X-word: letter coordinates -> 0.
-
-    Decompose the word in the shuffle dual basis; on a basis element
-    with Lyndon factorization l1^i1...lk^ik the character takes the
-    value prod zeta(S_lj)^ij / ij!, with zeta := 0 on the two letters.
-    """
+def zeta_shuffle_reg(w):
+    """Shuffle-regularized zeta of any X-word, <Z_sh | w>: the character
+    with zeta := 0 on the two letters."""
     w = tuple(w)
-    coords = decompose_in_basis(NCPoly.word(w, X), "S")
-    total = 0.0
-    for u, c in coords.items():
-        val = float(c)
-        for l, mult in lyndon_decompose(u, X):
-            if len(l) == 1:
-                val = 0.0
-                break
-            val *= _zeta_of_dual(dual_s(l), n) ** mult / math.factorial(mult)
-        total += val
-    return total
+    return float(_z_sh(len(w)).coeff(w))
 
 
-def zeta_stuffle_reg(w, n=DEFAULT_N):
-    """Stuffle-regularized zeta of any Y-word: the y1 coordinate -> 0."""
+def zeta_stuffle_reg(w):
+    """Stuffle-regularized zeta of any Y-word, <Z_st | w>: the character
+    with zeta := 0 on y1."""
     w = tuple(w)
-    coords = decompose_in_basis(NCPoly.word(w, Y), "Sigma")
-    total = 0.0
-    for u, c in coords.items():
-        val = float(c)
-        for l, mult in lyndon_decompose(u, Y):
-            if l == (1,):
-                val = 0.0
-                break
-            val *= _zeta_of_dual(dual_sigma(l), n) ** mult / math.factorial(mult)
-        total += val
-    return total
+    return float(_z_st(sum(w)).coeff(w))
 
 
 # ---------------------------------------------------------------------------
 # renormalized series
 
-def z_shuffle_series(depth, n=DEFAULT_N):
-    """Z for the shuffle side: ordered product over Lyndon X-words of
-    exp(zeta(S_l) P_l), letters excluded, largest Lyndon word leftmost."""
-    out = NCPoly(X, {(): 1.0}, depth)
-    for l in reversed(lyndon_words(X, max_length=depth)):
-        if len(l) == 1:
-            continue
-        coef = _zeta_of_dual(dual_s(l), n)
-        out = out * series_exp(pbw_p(l).truncate(depth).scale(coef))
-    return out
+def z_shuffle_series(depth):
+    """Z for the shuffle side: Z_sh, equal to the ordered product over
+    Lyndon X-words of exp(zeta(S_l) P_l), letters excluded, largest
+    leftmost, with zetas exact up to float rounding; a copy, so the
+    caller may change it."""
+    return NCPoly(X, _z_sh(depth).terms, depth)
 
 
-def z_stuffle_series(depth, n=DEFAULT_N):
-    """Z for the stuffle side: product of exp(zeta(Sigma_l) Pi_l), l != y1."""
+@functools.cache
+def _z_st(depth):
+    """z_stuffle_series, shared by every caller: read it, never change it."""
     out = NCPoly(Y, {(): 1.0}, depth)
     for l in reversed(lyndon_words(Y, max_weight=depth)):
         if l == (1,):
             continue
-        coef = _zeta_of_dual(dual_sigma(l), n)
+        coef = sum(float(c) * zeta_numeric(v)
+                   for v, c in dual_sigma(l).terms.items())
         out = out * series_exp(pbw_pi(l).truncate(depth).scale(coef))
     return out
 
 
-def bridge_series(depth, n=DEFAULT_N, z_shuffle=None):
+def z_stuffle_series(depth):
+    """Z for the stuffle side: product of exp(zeta(Sigma_l) Pi_l), l != y1,
+    zetas read off Z_sh (exact up to float rounding); a copy, so the
+    caller may change it."""
+    return NCPoly(Y, _z_st(depth).terms, depth)
+
+
+def bridge_series(depth, z_shuffle=None):
     """exp(-sum_{k>=2} zeta(k)(-y1)^k/k) * pi_Y(Z_shuffle)."""
     if z_shuffle is None:
-        z_shuffle = z_shuffle_series(depth, n)
-    coefs = {k: -zeta_numeric(k, n) * (-1.0) ** k / k
+        z_shuffle = _z_sh(depth)
+    coefs = {k: -zeta_numeric(k) * (-1.0) ** k / k
              for k in range(2, depth + 1)}
     return ncpoly_exp_y1(coefs, depth) * z_shuffle.pi_y()
 
 
-def bridge_check(depth=4, n=DEFAULT_N, tol=1e-2):
-    """Compare Z_stuffle against the y1-corrected image of Z_shuffle."""
-    lhs = z_stuffle_series(depth, n)
-    rhs = bridge_series(depth, n)
+def rounding_tol(*series):
+    """Float rounding of the zeta series: 1e-12 max(1, max |coefficient|)."""
+    return 1e-12 * max([1.0] + [abs(c) for s in series
+                                for c in s.terms.values()])
+
+
+def bridge_check(depth=4, n=None, tol=None):
+    """Compare Z_stuffle against the y1-corrected image of Z_shuffle.
+
+    tol=None: rounding_tol of the two sides.  n is accepted and unused;
+    no harmonic sum enters the bridge.
+    """
+    lhs = _z_st(depth)
+    rhs = bridge_series(depth)
+    if tol is None:
+        tol = rounding_tol(lhs, rhs)
     err = lhs.max_abs_diff(rhs)
-    return {"depth": depth, "n": n, "max_abs_err": err, "tol": tol,
+    return {"depth": depth, "max_abs_err": err, "tol": tol,
             "pass": err <= tol}
 
 
@@ -238,7 +223,7 @@ def abel_limits_check(max_weight=3, n=DEFAULT_N,
     fitted limit a (per word) against the N-side value.
     """
     n_side = n_side_limit_series(max_weight, n)
-    z_target = z_shuffle_series(max_weight, n).pi_y()
+    z_target = _z_sh(max_weight).pi_y()
     samples = [z_side_series(1.0 - eps, max_weight) for eps in eps_list]
     design = np.array([[1.0, e * math.log(e), e, e * math.log(e) ** 2]
                        for e in eps_list])
@@ -286,10 +271,8 @@ def euler_maclaurin_constants(n=DEFAULT_N, depth=4):
     series itself.
     """
     gamma = euler_gamma_estimate(n)
-    coefs = {1: gamma}
-    for k in range(2, depth + 1):
-        coefs[k] = -zeta_numeric(k, n) * (-1.0) ** k / k
-    series = ncpoly_exp_y1(coefs, depth)
+    coefs = {k: -zeta_numeric(k) * (-1.0) ** k / k for k in range(2, depth + 1)}
+    series = ncpoly_exp_y1({1: gamma, **coefs}, depth)
     h11 = harmonic_float((1, 1), n)
     logn = math.log(n)
     numeric = h11 - logn ** 2 / 2.0 - gamma * logn
@@ -303,10 +286,8 @@ def euler_maclaurin_constants(n=DEFAULT_N, depth=4):
 
 def const_series(n, max_weight):
     """Exact y1-only part of H(n): sum_k H_{y1^k}(n) y1^k as an NCPoly."""
-    t = {}
-    for k in range(0, max_weight + 1):
-        t[(1,) * k] = harmonic((1,) * k, n)
-    return NCPoly(Y, t)
+    return NCPoly(Y, {(1,) * k: harmonic((1,) * k, n)
+                      for k in range(max_weight + 1)})
 
 
 def ncpoly_exp_y1(coefs, max_weight):
@@ -326,7 +307,5 @@ def const_log_identity(n, max_weight):
 def mono_series(z, max_weight):
     """Float y1-only series with coefficients (-log(1-z))^k / (k! (1-z))."""
     lg = -math.log(1.0 - z)
-    t = {}
-    for k in range(0, max_weight + 1):
-        t[(1,) * k] = lg ** k / (math.factorial(k) * (1.0 - z))
-    return NCPoly(Y, t, max_weight)
+    return NCPoly(Y, {(1,) * k: lg ** k / (math.factorial(k) * (1.0 - z))
+                      for k in range(max_weight + 1)}, max_weight)

@@ -396,3 +396,42 @@ def test_precision_flag(capsys):
     assert code == 0
     # -log(1-z) at z=0.5, rounded to 3 significant digits
     assert out["value"] == 0.693
+
+
+@pytest.mark.parametrize("system, argv", [
+    ({"m": 2, "fields": [], "observation": [], "q0": ["1"]}, ["--z", "0.4"]),
+    ({"m": 2, "fields": [], "observation": [], "q0": ["1"]}, ["--T", "0.1"]),
+    ({"m": 1, "fields": [[[{"exps": [1], "coef": "-1"}]]],
+      "observation": [{"exps": [1], "coef": "1"}], "q0": ["1"]}, ["--z", "0.4"]),
+    ({"m": 2, "fields": [[], []], "observation": [], "q0": ["1", "0"]},
+     ["--z", "0.4"]),
+    ({"m": 1, "fields": [[[{"exps": [1], "coef": "-1"}]],
+                         [[{"exps": [0, 1], "coef": "1"}]]],
+      "observation": [], "q0": ["1"]}, ["--T", "0.1"]),
+    ({"builtin": "hypergeometric",
+      "params": {"t0": "1/4", "t1": "1/4", "t2": "1/3"}, "q0": ["1"]},
+     ["--z", "0.4"]),
+])
+def test_simulate_system_of_wrong_shape_exits_2(tmp_path, capsys, system, argv):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, "simulate", "--system", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot load system: ")
+    assert err.count("\n") == 1
+
+
+def test_simulate_z0_zero_in_file_is_kept(tmp_path, capsys):
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps({
+        "builtin": "hypergeometric",
+        "params": {"t0": "1/4", "t1": "1/4", "t2": "1/3"},
+        "q0": ["1", "0"],
+        "z0": 0,
+    }))
+    code, out, err = run(capsys, "simulate", "--system", str(path),
+                         "--z", "0.4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: z0 = 0, z = 0.4: ") and err.count("\n") == 1

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ncgen import hopf, ncpoly, negpolylog
+from ncgen import hopf, ncpoly, negpolylog, renorm
 from ncgen.hopf import dual_s, dual_sigma, pbw_p, pbw_pi, pi1_word
 from ncgen.ncpoly import shuffle_words, stuffle_words
 from ncgen.negpolylog import h_neg, li_neg
@@ -61,3 +61,18 @@ def test_recursion_headroom():
         assert dual_s((0,) * 100 + (1,)).terms == {(0,) * 100 + (1,): 1}
     finally:
         sys.setrecursionlimit(old)
+
+
+def test_zeta_tables_survive_a_caller_that_mutates():
+    zeta2 = renorm.zeta_numeric(2)
+    for public, cache, w in ((renorm.z_shuffle_series, renorm._z_sh, (0, 1)),
+                             (renorm.z_stuffle_series, renorm._z_st, (2,))):
+        z = public(4)
+        assert z.coeff(w) == zeta2
+        size = cache.cache_info().currsize
+        z.terms[w] = 99.0
+        z.terms.clear()
+        assert public(4).coeff(w) == zeta2
+        assert cache(4).coeff(w) == zeta2
+        assert cache.cache_info().currsize == size
+    assert renorm.zeta_shuffle_reg((0, 1)) == renorm.zeta_stuffle_reg((2,)) == zeta2
