@@ -9,9 +9,11 @@ Subcommands:
 
 Global flags: --format {text,json}, --precision DIGITS, --seed N.
 The environment variable NCGEN_MAX_DEPTH caps every depth-like argument.
+The argument parser is built once per process and reused by every main().
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -150,14 +152,11 @@ def cmd_table(args):
     if args.which == "cminus":
         if args.max_weight is None:
             raise CLIError("cminus needs --max-weight")
-        rows = []
-        for w in ncpoly.words_up_to(Y, args.max_weight):
-            if not w:
-                continue
-            rows.append({"word": word_to_str(w, Y),
-                         "degree": asymptotics.growth_degree(w),
-                         "c_minus": str(asymptotics.c_minus(w)),
-                         "b_minus": str(asymptotics.b_minus(w))})
+        rows = [{"word": word_to_str(w, Y),
+                 "degree": asymptotics.growth_degree(w),
+                 "c_minus": str(asymptotics.c_minus(w)),
+                 "b_minus": str(asymptotics.b_minus(w))}
+                for w in ncpoly.words_up_to(Y, args.max_weight) if w]
         _emit(args, {"rows": rows}, lambda pl: [
             "%-10s d=%-3s C=%-12s B=%s" % (r["word"], r["degree"],
                                            r["c_minus"], r["b_minus"])
@@ -166,11 +165,9 @@ def cmd_table(args):
 
     if args.which == "eulerian":
         n_max = args.max_n if args.max_n is not None else 6
-        rows = []
-        for n in range(1, n_max + 1):
-            rows.append({"n": n,
-                         "values": [str(negpolylog.eulerian(n, k))
-                                    for k in range(max(n - 1, 0) + 1)]})
+        rows = [{"n": n, "values": [str(negpolylog.eulerian(n, k))
+                                    for k in range(max(n - 1, 0) + 1)]}
+                for n in range(1, n_max + 1)]
         _emit(args, {"rows": rows}, lambda pl: [
             "n=%d: %s" % (r["n"], " ".join(r["values"])) for r in pl["rows"]])
         return 0
@@ -187,12 +184,12 @@ def verify_duality(args):
     depth = args.depth or 4
     alphabet = args.alphabet
     ws = [w for w in words_up_to(alphabet, depth) if w]
+    ps = [hopf.pbw_p(v) if alphabet == X else hopf.pbw_pi(v) for v in ws]
     worst = 0
     for u in ws:
-        su = hopf.dual_s(u) if alphabet == X else hopf.dual_sigma(u)
-        for v in ws:
-            pv = hopf.pbw_p(v) if alphabet == X else hopf.pbw_pi(v)
-            got = sum((c * su.coeff(w) for w, c in pv.terms.items()),
+        su = (hopf.dual_s(u) if alphabet == X else hopf.dual_sigma(u)).terms
+        for v, pv in zip(ws, ps):
+            got = sum((c * su[w] for w, c in pv.terms.items() if w in su),
                       Fraction(0))
             worst = max(worst, abs(got - (1 if u == v else 0)))
     return {"identity": "dual-bases-pairing", "alphabet": alphabet,
@@ -392,8 +389,8 @@ def cmd_simulate(args):
         except (ValueError, argparse.ArgumentTypeError):
             raise CLIError("bad --controls %r: want finite numbers, "
                            "comma-separated" % args.controls) from None
-        if len(controls) < len(system.fields):
-            raise CLIError("need %d controls" % len(system.fields))
+        if len(controls) != 2:  # one per field: x0 and x1
+            raise CLIError("need 2 controls, got %d" % len(controls))
         chen = chen_drift(args.T, depth, controls)
         y = fliess_output(system, chen, depth)
         payload = {"mode": "drift", "T": args.T, "controls": list(controls),
@@ -407,6 +404,7 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ncgen",

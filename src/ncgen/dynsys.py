@@ -465,8 +465,8 @@ def load_system(path):
             raise ValueError("every field needs m = %d components" % m)
         system = PolySystem.from_json_dict(data)
     m, fields = system.m, system.fields
-    if len(fields) < 2 or len(system.q0) != m:
-        raise ValueError("want fields for x0, x1 and m = %d entries in q0; "
+    if len(fields) != 2 or len(system.q0) != m:
+        raise ValueError("want two fields (x0, x1) and m = %d entries in q0; "
                          "got %d fields, %d entries"
                          % (m, len(fields), len(system.q0)))
     if not all(len(e) == m and all(type(a) is int and a >= 0 for a in e)

@@ -8,9 +8,9 @@ Li^-_w(z) for w over Y0 = {y0, y1, ...} is a polynomial in t = 1/(1-z)
 where theta0 = z d/dz acts on Q[t] as the derivation with
 theta0(t) = t^2 - t.  H^-_w(N) = sum_{N >= n1 > ... > nr >= 1}
 n1^{s1} ... nr^{sr} is a polynomial in N of the same degree; it is
-constructed by exact Lagrange interpolation against the literal nested
-sum, with the classical Bernoulli/Faulhaber formulas kept as
-cross-checks.
+built from Newton forward differences of the literal nested sum at
+N = 0..degree, in integers until one last division, with the classical
+Bernoulli/Faulhaber formulas kept as cross-checks.
 
 The multi-index Bernoulli polynomials B_w(z) are implemented in closed
 form for |w| <= 2 (single index: classical Bernoulli polynomial, with
@@ -180,29 +180,27 @@ def h_neg_value(w, N):
     return nested_sum(w, N)
 
 
-def _lagrange(points):
-    """Interpolating QPoly through [(x, y), ...] with exact arithmetic."""
-    total = QPoly([], "N")
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = QPoly.const(yi, "N")
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term = term * QPoly([Fraction(-xj, 1) / (xi - xj),
-                                     Fraction(1, xi - xj)], "N")
-        total = total + term
-    return total
-
-
 @functools.cache
 def _h_neg(w):
+    # Newton: H(N) = sum_k Delta^k H(0) C(N, k) over the integer values at
+    # N = 0..d; the falling factorials N(N-1)...(N-k+1) stay in integers,
+    # scaled by d!/k!, and d! is divided out last
     d = sum(w) + len(w)
-    return _lagrange([(n, h_neg_value(w, n)) for n in range(d + 1)])
+    denom = factorial(d)
+    values = [int(h_neg_value(w, n)) for n in range(d + 1)]
+    coefs = [0] * (d + 1)
+    falling = [1]
+    for k in range(d + 1):
+        scale = values[0] * (denom // factorial(k))
+        for i, c in enumerate(falling):
+            coefs[i] += scale * c
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+    return QPoly([Fraction(c, denom) for c in coefs], "N")
 
 
 def h_neg(w):
-    """H^-_w as an exact polynomial in N (degree (w)+|w|), by interpolation."""
+    """H^-_w as an exact polynomial in N of degree (w)+|w| (Newton form)."""
     return _h_neg(tuple(w))
 
 

@@ -158,6 +158,7 @@ def l_series(z, depth, n_terms=None):
     convergent polylogarithms.
     """
     out = series_exp(NCPoly(X, {(1,): -math.log(1.0 - z)}, depth))
+    out = out.scale(1.0)  # float even at depth 0, where out is the unit
     for l in reversed(lyndon_words(X, max_length=depth)):
         if len(l) == 1:
             continue

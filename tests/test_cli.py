@@ -435,3 +435,78 @@ def test_simulate_z0_zero_in_file_is_kept(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: z0 = 0, z = 0.4: ") and err.count("\n") == 1
+
+
+_THREE_FIELDS = {"m": 1, "fields": [[[{"exps": [1], "coef": "-1"}]],
+                                    [[{"exps": [1], "coef": "1"}]],
+                                    [[{"exps": [0], "coef": "1"}]]],
+                 "observation": [{"exps": [1], "coef": "1"}], "q0": ["1"]}
+
+
+@pytest.mark.parametrize("argv", [["--z", "0.4"], ["--T", "0.1"],
+                                  ["--T", "0.1", "--controls", "1,0.5,2"]])
+def test_simulate_three_fields_exits_2(tmp_path, capsys, argv):
+    # only x0 and x1 drive a system, so a third field would be ignored
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_THREE_FIELDS))
+    code, out, err = run(capsys, "simulate", "--system", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot load system: want two fields")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("controls", ["1", "1,0.5,2", "1,0.5,7", "1,0,0,0"])
+def test_simulate_needs_exactly_two_controls(tmp_path, capsys, controls):
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps(_OSCILLATOR))
+    code, out, err = run(capsys, "simulate", "--system", str(path),
+                         "--T", "0.1", "--controls", controls)
+    assert code == 2 and out == ""
+    assert err == "error: need 2 controls, got %d\n" % len(controls.split(","))
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once():
+    from ncgen.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("first, second, codes", [
+    (["--format", "json", "eval", "hneg", "--word", "y2 y0", "--n", "5"],
+     ["eval", "hneg", "--word", "y2 y0"], (0, 0)),
+    (["verify", "duality", "--depth", "0"],
+     ["verify", "duality", "--depth", "3"], (2, 0)),
+    (["eval", "li", "--word", "x0 x1", "--z", "0.5", "--terms", "40"],
+     ["eval", "li", "--word", "x0 x1", "--z", "0.5"], (0, 0)),
+])
+def test_cached_parser_leaks_nothing_between_calls(first, second, codes):
+    forward = [_call(first), _call(second)]
+    backward = [_call(second), _call(first)]
+    assert forward == backward[::-1]
+    assert tuple(code for code, _, _ in forward) == codes
+    assert forward[0][1] != forward[1][1]
+
+
+def test_duality_catches_a_stray_term(capsys, monkeypatch):
+    from ncgen import hopf
+    from ncgen.ncpoly import NCPoly
+    dual_s = hopf.dual_s
+    stray = next(iter(hopf.pbw_p((0, 1)).terms))  # a word P_{x0 x1} supports
+
+    def patched(u):
+        s = dual_s(u)
+        return s + NCPoly.word(stray) if u == (0,) else s
+
+    monkeypatch.setattr(hopf, "dual_s", patched)
+    code, out = run_json(capsys, "verify", "duality", "--depth", "3")
+    assert code == 1
+    assert out["pass"] is False and out["max_abs_err"] > 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncgen.negpolylog import (
     QPoly,
@@ -283,3 +284,15 @@ def test_faulhaber_roundtrip():
         faulhaber_roundtrip((1, 1, 1, 1))
     with pytest.raises(ValueError):
         faulhaber_roundtrip((0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=4))
+def test_h_neg_is_the_nested_sum_beyond_its_nodes(w):
+    # built from the values at N = 0..d; checked up to d + 3
+    w = tuple(w)
+    d = sum(w) + len(w)
+    p = h_neg(w)
+    assert p.degree() == d
+    for n in range(d + 4):
+        assert p.eval(n) == h_neg_value(w, n), (w, n)

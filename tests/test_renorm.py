@@ -204,3 +204,12 @@ def test_mono_series_is_ogf_of_const():
         for n in range(0, 400):
             acc += float(harmonic((1,) * k, n)) * z ** n
         assert abs(m.coeff((1,) * k) - acc) < 1e-10, k
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_series_at_every_depth_are_float(depth):
+    # the series 1 at depth 0 is float like every deeper series
+    for series in (l_series(0.3, depth), z_shuffle_series(depth),
+                   z_stuffle_series(depth)):
+        assert series.terms
+        assert all(type(c) is float for c in series.terms.values())
