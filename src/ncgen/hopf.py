@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 
 from .ncpoly import (
-    NCPoly, _word_coproduct, conc, peel, shuffle, shuffle_words,
+    NCPoly, _linear, _word_coproduct, conc, peel, shuffle, shuffle_words,
     shuffle_power, stuffle, stuffle_words, stuffle_power, words_up_to,
 )
 from .words import (
@@ -93,11 +93,8 @@ def dual_s(w):
 
 def _reduced_stuffle_coproduct(u):
     """Reduced Delta_st of a word: both tensor components nonempty."""
-    out = {}
-    for (a, b), c in _word_coproduct(u, Y, quasi=True).items():
-        if a and b:
-            out[(a, b)] = out.get((a, b), Fraction(0)) + c
-    return out
+    return {(a, b): c for (a, b), c in _word_coproduct(u, Y, True).items()
+            if a and b}
 
 
 @functools.cache
@@ -112,13 +109,9 @@ def _pi1_word(w):
         for parts, c in layer.items():
             key = tuple(a for u in parts for a in u)
             terms[key] = terms.get(key, Fraction(0)) + sign * c
-        nxt = {}
-        for parts, c in layer.items():
-            head, last = parts[:-1], parts[-1]
-            for (a, b), m in _reduced_stuffle_coproduct(last).items():
-                key = head + (a, b)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * m
-        layer = nxt
+        layer = _linear(layer, lambda parts: {
+            parts[:-1] + ab: m
+            for ab, m in _reduced_stuffle_coproduct(parts[-1]).items()})
         k += 1
     return NCPoly(Y, terms)
 
@@ -130,11 +123,8 @@ def pi1_word(w):
 
 def pi1(P):
     """Linear extension of pi1 to polynomials over Y (kills the empty word)."""
-    out = NCPoly(Y)
-    for u, c in P.terms.items():
-        if u:
-            out = out + pi1_word(u).scale(c)
-    return out
+    return NCPoly._new(Y, _linear({u: c for u, c in P.terms.items() if u},
+                                  lambda u: pi1_word(u).terms), None)
 
 
 def pbw_pi(w):
@@ -196,29 +186,21 @@ def decompose_in_basis(P, kind):
 def recompose_from_basis(coords, kind, alphabet=None):
     basis = _BASIS_FN[kind]
     alphabet = alphabet or (X if kind in ("S", "P") else Y)
-    out = NCPoly(alphabet)
-    for w, c in coords.items():
-        out = out + basis(w).scale(c)
-    return out
+    return NCPoly._new(alphabet, _linear(coords, lambda w: basis(w).terms), None)
 
 
 # ---------------------------------------------------------------------------
 # Schuetzenberger factorization of the diagonal series, truncated
 
 def _tensor_mul(A, B, first_product, depth, degree):
-    out = {}
-    for (u1, v1), c1 in A.items():
-        for (u2, v2), c2 in B.items():
-            if degree(u1) + degree(u2) > depth:
-                continue
-            c = c1 * c2
-            v = v1 + v2
-            for u, m in first_product(u1, u2).items():
-                key = (u, v)
-                out[key] = out.get(key, Fraction(0)) + c * m
-                if not out[key]:
-                    del out[key]
-    return out
+    """(u1 (x) v1)(u2 (x) v2) = (u1 * u2) (x) v1 v2, bilinear, cut at depth."""
+    def image(pair):
+        (u1, v1), (u2, v2) = pair
+        return {(u, v1 + v2): m for u, m in first_product(u1, u2).items()}
+
+    return _linear({(a, b): ca * cb for a, ca in A.items()
+                    for b, cb in B.items()
+                    if degree(a[0]) + degree(b[0]) <= depth}, image)
 
 
 def diagonal_factorization_check(alphabet, depth):
@@ -233,14 +215,9 @@ def diagonal_factorization_check(alphabet, depth):
         dual, pbw, first_product = dual_sigma, pbw_pi, stuffle_words
         degree = sum
 
-    lhs = {}
-    for w in words_up_to(alphabet, depth):
-        for u, cu in dual(w).terms.items():
-            for v, cv in pbw(w).terms.items():
-                key = (u, v)
-                lhs[key] = lhs.get(key, Fraction(0)) + cu * cv
-                if not lhs[key]:
-                    del lhs[key]
+    lhs = _linear(dict.fromkeys(words_up_to(alphabet, depth), 1), lambda w: {
+        (u, v): cu * cv for u, cu in dual(w).terms.items()
+        for v, cv in pbw(w).terms.items()})
 
     rhs = {((), ()): Fraction(1)}
     for l in reversed(lynd):  # decreasing Lyndon order, left to right

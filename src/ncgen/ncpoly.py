@@ -21,6 +21,11 @@ right), (S |> P) has <S | Pw> (strip P from the left).
 peel is the one exact elimination, behind basis coordinates, the Sigma
 blocks and the Hankel rank.
 
+The products, peel and linear combinations (_linear) run on integer
+numerators over one common denominator per operand (_numerators) and
+build one Fraction per output word (_values); float coefficients go
+through the same loops as they are.
+
 Cache: the word products live in `_quasi_shuffle`, a `functools.cache`
 keyed by (u, v, quasi); `_quasi_shuffle.cache_info()` reports hits,
 misses and size.
@@ -272,29 +277,38 @@ def _unit_series(P):
     return NCPoly._new(P.alphabet, {(): P._unit()}, P.depth)
 
 
-def conc(P, Q):
-    """Concatenation product, bilinear on words, cut at the smaller depth."""
-    P._check(Q)
-    alphabet = P.alphabet if P.terms else Q.alphabet
-    depth = _min_depth(P.depth, Q.depth)
-    cap = math.inf if depth is None else depth
-    deg = _degree(alphabet)
-    qs = [(v, cv, deg(v)) for v, cv in Q.terms.items()]
+def _numerators(*maps):
+    """Each map as (D, [(w, n)]), n the integer numerator over D, the lcm of
+    its denominators; if any coefficient is a float, D None and the values."""
+    try:
+        Ds = [math.lcm(*{c.denominator for c in m.values()}) for m in maps]
+    except AttributeError:
+        return [(None, m.items()) for m in maps]
+    return [(D, [(w, c.numerator * (D // c.denominator)) for w, c in m.items()])
+            for D, m in zip(Ds, maps)]
+
+
+def _values(nums, D):
+    """Numerators over D as reduced Fractions; D None: values as they are."""
+    return {w: Fraction(n, D) for w, n in nums.items()} if D else nums
+
+
+def _linear(coords, image):
+    """sum_w coords[w] image(w), image(w) a map key -> coefficient, summed
+    in one pass: exact ones as numerators over one common denominator."""
+    (D, cs), *images = _numerators(coords, *map(image, coords))
+    L = D and math.lcm(*(E for E, _ in images))
     t = {}
-    for u, cu in P.terms.items():
-        room = cap - deg(u)
-        for v, cv, dv in qs:
-            if dv > room:
-                continue
-            w = u + v
-            c = cu * cv
-            prev = t.get(w)
-            t[w] = c if prev is None else prev + c
-    return NCPoly._new(alphabet, t, depth)
+    for (_, c), (E, row) in zip(cs, images):
+        c = c * (L // E) if D else c
+        for v, r in row:
+            prev = t.get(v)
+            t[v] = c * r if prev is None else prev + c * r
+    return {k: c for k, c in _values(t, D and D * L).items() if c}
 
 
 def _product(P, Q, quasi):
-    """P sh Q (quasi: P st Q), bilinear on words, cut at the smaller depth."""
+    """P sh Q, P st Q (quasi) or, quasi None, PQ; cut at the smaller depth."""
     P._check(Q)
     alphabet = P.alphabet if P.terms else Q.alphabet
     if quasi and alphabet == X:
@@ -302,18 +316,29 @@ def _product(P, Q, quasi):
     depth = _min_depth(P.depth, Q.depth)
     cap = math.inf if depth is None else depth
     deg = _degree(alphabet)
-    qs = [(v, cv, deg(v)) for v, cv in Q.terms.items()]
+    (dp, ps), (dq, qs) = _numerators(P.terms, Q.terms)
+    qs = [(v, cv, deg(v)) for v, cv in qs]
     t = {}
-    for u, cu in P.terms.items():
+    for u, cu in ps:
         room = cap - deg(u)
         for v, cv, dv in qs:
             if dv > room:
                 continue
             c = cu * cv
+            if quasi is None:
+                w = u + v
+                prev = t.get(w)
+                t[w] = c if prev is None else prev + c
+                continue
             for w, m in _quasi_shuffle(u, v, quasi).items():
                 prev = t.get(w)
                 t[w] = c * m if prev is None else prev + c * m
-    return NCPoly._new(alphabet, t, depth)
+    return NCPoly._new(alphabet, _values(t, dp and dp * dq), depth)
+
+
+def conc(P, Q):
+    """Concatenation product, bilinear on words, cut at the smaller depth."""
+    return _product(P, Q, None)
 
 
 def shuffle(P, Q):
@@ -382,13 +407,7 @@ def _word_coproduct(w, alphabet, quasi):
 
 
 def _coproduct(P, quasi):
-    out = {}
-    for w, c in P.terms.items():
-        for k, m in _word_coproduct(w, P.alphabet, quasi).items():
-            out[k] = out.get(k, _ZERO) + c * m
-            if not out[k]:
-                del out[k]
-    return out
+    return _linear(P.terms, lambda w: _word_coproduct(w, P.alphabet, quasi))
 
 
 def coproduct_shuffle(P):
@@ -443,11 +462,14 @@ def peel(terms, pivot, extreme=min, key=None):
     row pivot(word), a map word -> coefficient leading with 1 at that
     word, times the word's coefficient.  Stops when nothing is left or
     pivot returns None.  A row that does not lead with 1, or that brings
-    back a word already peeled, raises ArithmeticError.
+    back a word already peeled, raises ArithmeticError.  Exact terms are
+    peeled as integer numerators over one D; a row over its lcm E first
+    scales them by E / gcd(c, E), c the one peeled.
     """
     if key is not None:
         key = functools.cache(key)  # one key per word, not one per comparison
-    rest = {w: c for w, c in terms.items() if c}
+    [(D, rest)] = _numerators(terms)
+    rest = {w: c for w, c in rest if c}
     coords = {}
     while rest:
         w = extreme(rest, key=key)
@@ -456,14 +478,23 @@ def peel(terms, pivot, extreme=min, key=None):
             break
         if row.get(w) != 1 or w in coords:
             raise ArithmeticError("the row of %r does not lead with 1" % (w,))
-        c = coords[w] = rest[w]
-        for v, r in row.items():
+        [(E, row)] = _numerators(row) if D else [(None, row.items())]
+        if D and not E:  # a float row: go on in values
+            rest, D = _values(rest, D), None
+        c = rest[w]
+        coords[w] = Fraction(c, D) if D else c
+        if D:
+            g = math.gcd(c, E)
+            c, f = c // g, E // g
+            if f != 1:
+                rest, D = {v: x * f for v, x in rest.items()}, D * f
+        for v, r in row:
             x = rest.get(v, 0) - c * r
             if x:
                 rest[v] = x
             else:
                 rest.pop(v, None)
-    return coords, rest
+    return coords, _values(rest, D)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ One engine computes S_e(N) = sum_{N >= n1 > ... > nr >= 1} n1^e1 ... nr^er
 over integer exponents, exactly (nested_sum) or in floats
 (nested_sum_array), by sweeping S_e(n) = S_e(n-1) + n^e1 S_{e[1:]}(n-1)
 forward in n, one letter at a time from the right (S = 1 at the empty
-word, so S_e(n) = 0 for n < |e|).  H_w is S at exponents -w, H^-_w
-(negpolylog) at +w; y0 is exponent 0.  Li_w(z) is the partial sum of
-sum_N [H_w(N) - H_w(N-1)] z^N with a crude geometric tail bound.
+word, so S_e(n) = 0 for n < |e|).  The exact sweep runs on integers: the
+column of e holds N_e(n) = S_e(n) lcm(1..n)^A, A the weight of the
+negative exponents of e, and a read builds one Fraction.  H_w is S at
+exponents -w, H^-_w (negpolylog) at +w; y0 is exponent 0.  Li_w(z) is
+the partial sum of sum_N [H_w(N) - H_w(N-1)] z^N with a ratio-test tail
+bound.
 
 The second half is the symbolic operator algebra on finite combinations
 sum c_w(z) Li_w(z), with coefficients c_w in Q[z, 1/z, 1/(1-z)]
@@ -22,14 +25,16 @@ combinations with *constant* coefficients (the operators are only
 linear over constants).
 """
 
+import math
 from fractions import Fraction
 
 from ncgen.ncpoly import NCPoly
 from ncgen.words import X, Y, pi_y_word
 
-# exponent word e -> [S_e(0), S_e(1), ...]: columns grown in place as
-# larger N are asked for, so a table, not a memo of one call's result
+# exponent word e -> its integer column N_e(0), N_e(1), ... and n -> lcm(1..n):
+# tables grown in place as larger N are asked for, not memos of one result
 _columns = {}
+_lcms = [1]
 MAX_TERMS = 400000  # polylog_eval's cap, the count it picks near z = 1
 
 
@@ -40,16 +45,21 @@ def nested_sum(e, N):
         return Fraction(1)
     if N < len(e):
         return Fraction(0)
-    tail = None
+    while min(e) < 0 and len(_lcms) <= N:
+        _lcms.append(math.lcm(_lcms[-1], len(_lcms)))
+    tail, a = None, 0
     for i in range(len(e) - 1, -1, -1):
         col = _columns.setdefault(e[i:], [0])
-        k = e[i]
+        k, inner = e[i], a
+        a += max(0, -k)
         for n in range(len(col), N - i + 1):
+            # from over lcm(1..n-1) to over lcm(1..n): r per power of it
             t = 1 if tail is None else tail[n - 1]
-            step = t * n ** k if k >= 0 else Fraction(t, n ** -k)
-            col.append(col[-1] + step)
+            r = _lcms[n] // _lcms[n - 1] if a else 1
+            step = t * n ** k if k >= 0 else t * (_lcms[n] // n) ** -k
+            col.append(col[-1] * r ** a + step * r ** inner)
         tail = col
-    return Fraction(tail[N])
+    return Fraction(tail[N], _lcms[N] ** a if a else 1)
 
 
 def nested_sum_array(e, N):
@@ -103,10 +113,8 @@ def polylog_eval(w, z, terms=400, alphabet=None):
     w is read in the alphabet given: an X-word must lie in X*x1 (it codes
     an index word), a Y/Y0 word is one.  Without it a word over {0, 1} is
     read as an X-word.  terms=None sums auto_terms(z) terms; terms above
-    MAX_TERMS are refused.  The empty word gives 1.
-    Returns (value, tail_bound); the bound is the geometric tail
-    |z|^(T+1)/(1-|z|) inflated by the crude polylog-growth safety factor
-    (T+1)^|w|.
+    MAX_TERMS are refused, and so is a value that underflows to 0.  The
+    empty word gives 1.  Returns (value, _tail_bound(...)).
     """
     w = tuple(w)
     if not (-1 < z < 1):
@@ -129,8 +137,32 @@ def polylog_eval(w, z, terms=400, alphabet=None):
     n = np.arange(0, terms + 1, dtype=float)
     diffs = np.diff(h)  # H_w(n) - H_w(n-1), n = 1..terms
     value = float(np.sum(diffs * z ** n[1:]))
-    tail = abs(z) ** (terms + 1) / (1 - abs(z)) * (terms + 1) ** len(w)
-    return value, tail
+    if z and terms >= len(w) and not value:  # c_n > 0 from n = |w| on
+        raise ValueError("Li_w(z) underflows a float")
+    return value, _tail_bound(w, abs(z), terms)
+
+
+def _tail_bound(w, x, terms):
+    """Bound on sum_{n > terms} |c_n| x^n, c_n the coefficient of z^n in
+    Li_w, w = (s1, ...) a Y0 word: dropping the order of the inner indices,
+    |c_n| <= n^-s1 prod_{i>=2} h_{s_i}(n-1), h_0(m) = m, h_1(m) <= 1 + ln m
+    and h_s <= zeta(s) <= s/(s-1).  The ratio q of consecutive bound terms
+    (n^-s1 aside) falls towards x: they are summed while q >= (1+x)/2, and
+    the rest is geometric; ValueError if q is still there MAX_TERMS on."""
+    s1, rest = w[0], w[1:]
+    zeta = math.prod(s / (s - 1) for s in rest if s > 1)
+
+    def h(m):  # prod_{i>=2} h_{s_i}(m); m >= |rest|, so m = 0 has no log
+        return (float(m) ** rest.count(0)
+                * (1 + math.log(m or 1)) ** rest.count(1) * zeta)
+
+    total, start = 0.0, max(terms + 1, len(w))  # c_n = 0 below |w|
+    for n in range(start, start + MAX_TERMS):
+        a, q = n ** -s1 * h(n - 1) * x ** n, x * h(n) / h(n - 1)
+        if q < (1 + x) / 2:
+            return total + a / (1 - q)
+        total += a
+    raise ValueError("Li_w(z) converges too slowly for a tail bound")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -510,3 +511,29 @@ def test_duality_catches_a_stray_term(capsys, monkeypatch):
     code, out = run_json(capsys, "verify", "duality", "--depth", "3")
     assert code == 1
     assert out["pass"] is False and out["max_abs_err"] > 0
+
+
+# sha256 of the stdout of exact commands; a change in any printed
+# coefficient, order or spacing shows here
+EXACT_OUTPUT = [
+    (["--format", "json", "table", "pi-sigma", "--max-weight", "6"],
+     "666523bda29137f4924e417bad9e4485ae0fce3270099746b3063b3942476424"),
+    (["table", "pi-sigma", "--max-weight", "6"],
+     "48030822e72dde30e71955485b2ec539e97d3ea4ed43df14d56b6d3ef5ef145a"),
+    (["--format", "json", "table", "dual-bases", "--max-len", "7"],
+     "7b08678081ebbf9203bcbb9affc4707c70111eaa84cc6d20a451e560f7f74a6b"),
+    (["--format", "json", "table", "cminus", "--max-weight", "6"],
+     "c00db810b53e3f9697846668f00d8ec9174ab7a212421afa5e748efcbf755500"),
+    (["verify", "duality", "--depth", "5"],
+     "a99024b9719ca21651f09017d6bebd7812560e06982030a0b95b413a7618df0f"),
+    (["verify", "duality", "--alphabet", "Y", "--depth", "5"],
+     "3ae7eaee7010ad7749366009cca422d3c49a947d98a58780ab69caa0494393a2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", EXACT_OUTPUT,
+                         ids=[" ".join(argv) for argv, _ in EXACT_OUTPUT])
+def test_exact_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -227,6 +227,30 @@ def test_decompose_roundtrip_random():
             assert recompose_from_basis(coords, kind, alphabet) == P
 
 
+def test_linear_extensions_sum_term_by_term():
+    # pi1 and recompose_from_basis sum in one pass; the sum of scaled
+    # images, one at a time, is the reference, exact and in floats
+    rng = random.Random(8)
+    for kind, alphabet in [("S", X), ("P", X), ("Sigma", Y), ("Pi", Y)]:
+        basis = {"S": dual_s, "P": pbw_p, "Sigma": dual_sigma, "Pi": pbw_pi}[kind]
+        pool = [w for w in words_up_to(alphabet, 4) if w]
+        for to in (Fraction, float):
+            coords = {w: to(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                      for w in rng.sample(pool, 5)}
+            want = NCPoly(alphabet)
+            for w, c in coords.items():
+                want = want + basis(w).scale(c)
+            got = recompose_from_basis(coords, kind, alphabet)
+            assert got.terms == want.terms, (kind, to)
+            assert all(type(c) is to for c in got.terms.values())
+            if alphabet == Y:
+                P = NCPoly(Y, {(): to(3), **coords})
+                want = NCPoly(Y)
+                for w, c in coords.items():
+                    want = want + pi1_word(w).scale(c)
+                assert pi1(P).terms == want.terms, to
+
+
 # -- diagonal series factorization ------------------------------------
 
 def test_diagonal_factorization_x():

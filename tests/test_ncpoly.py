@@ -286,3 +286,103 @@ def test_peel_rejects_rows_that_do_not_lead_with_one():
     rows = {(0,): {(0,): 1, (1,): 1}, (1,): {(1,): 1, (0,): 1}}
     with pytest.raises(ArithmeticError):
         peel({(0,): 1}, rows.get)
+
+
+# -- the integer kernel against plain Fraction / float arithmetic -----
+
+def _coefs(kind):
+    """Coefficients of one kind: Fractions with denominators up to 12,
+    ints, or floats."""
+    fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return {"fraction": fractions, "int": st.integers(-6, 6),
+            "float": fractions.map(float)}[kind]
+
+
+_KINDS = st.sampled_from(("fraction", "int", "float"))
+
+
+def _terms(words, kind):
+    return st.dictionaries(st.sampled_from(words), _coefs(kind), max_size=6)
+
+
+def _naive_product(P, Q, words):
+    """The bilinear product term by term, in the coefficients as given."""
+    t = {}
+    for u, cu in P.terms.items():
+        for v, cv in Q.terms.items():
+            for w, m in words(u, v):
+                t[w] = t.get(w, 0) + cu * cv * m
+    return NCPoly._new(P.alphabet, t, None).truncate(_min(P.depth, Q.depth))
+
+
+def _min(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+_PRODUCTS = {
+    "conc": (conc, X, lambda u, v: [(u + v, 1)]),
+    "shuffle": (shuffle, X, lambda u, v: shuffle_words(u, v).items()),
+    "stuffle": (stuffle, Y, lambda u, v: stuffle_words(u, v).items()),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_PRODUCTS)), _KINDS, _KINDS, st.data(),
+       st.one_of(st.none(), st.integers(0, 5)),
+       st.one_of(st.none(), st.integers(0, 5)))
+def test_products_equal_the_term_by_term_loop(name, kp, kq, data, dp, dq):
+    product, alphabet, words = _PRODUCTS[name]
+    pool = [w for w in words_up_to(alphabet, 3) if w] + [()]
+    P = NCPoly(alphabet, data.draw(_terms(pool, kp)), dp)
+    Q = NCPoly(alphabet, data.draw(_terms(pool, kq)), dq)
+    got, want = product(P, Q), _naive_product(P, Q, words)
+    # same values, same depth, and the same kind: float as soon as a
+    # factor is float, Fraction otherwise
+    assert got.terms == want.terms and got.depth == want.depth
+    kind = float if "float" in (kp, kq) and P and Q else Fraction
+    assert all(type(c) is kind for c in got.terms.values()), got.terms
+
+
+def _naive_peel(terms, pivot, extreme=min):
+    """The elimination in the coefficients as given."""
+    rest = {w: c for w, c in terms.items() if c}
+    coords = {}
+    while rest:
+        w = extreme(rest)
+        row = pivot(w)
+        if row is None:
+            break
+        if row.get(w) != 1 or w in coords:
+            raise ArithmeticError(w)
+        c = coords[w] = rest[w]
+        for v, r in row.items():
+            x = rest.get(v, 0) - c * r
+            if x:
+                rest[v] = x
+            else:
+                rest.pop(v, None)
+    return coords, rest
+
+
+@settings(max_examples=50, deadline=None)
+@given(_KINDS, _KINDS, st.sampled_from((min, max)), st.data())
+def test_peel_equals_the_elimination_in_values(kt, kr, extreme, data):
+    # unitriangular rows: the row of a word leads with 1 there and brings
+    # only words peeled later; some words have no row, and the peel stops
+    order = sorted(words_up_to(X, 2), reverse=extreme is max)
+    ones = {"fraction": Fraction(1), "int": 1, "float": 1.0}
+    one = ones[kr]
+    rows = {w: {**data.draw(_terms(order[i + 1:] or [w], kr)), w: one}
+            for i, w in enumerate(order) if data.draw(st.integers(0, 5))}
+    terms = data.draw(_terms(order, kt))
+    assert peel(terms, rows.get, extreme) == \
+        _naive_peel(terms, rows.get, extreme)
+    # a row that does not lead with 1 is refused when it is met, and so
+    # are two rows that bring each other's word back
+    for w in [w for w in order if terms.get(w)][:1]:
+        with pytest.raises(ArithmeticError):
+            peel(terms, {w: {**rows.get(w, {}), w: 2}}.get, extreme)
+    u, v = order[:2]
+    cycle = {u: {u: one, v: one}, v: {v: one, u: one}}
+    with pytest.raises(ArithmeticError):
+        peel({u: ones[kt]}, cycle.get, extreme)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,9 +10,9 @@ from ncgen.ncpoly import is_grouplike, stuffle_words, words_up_to
 from ncgen.negpolylog import h_neg, h_neg_value
 from ncgen.polylog import (
     FElem, RatZ, harmonic, harmonic_array, harmonic_float, harmonic_series,
-    polylog_eval,
+    nested_sum, polylog_eval,
 )
-from ncgen.words import Y
+from ncgen.words import Y, Y0
 
 
 # -- harmonic sums -----------------------------------------------------
@@ -117,6 +118,65 @@ def test_polylog_eval_rejects():
         polylog_eval((1, 0), 0.5)  # ends in x0: not an index word
 
 
+def _li_mp(w, zs):
+    """Li_w(z) for each z of zs by the nested sum in 50-digit arithmetic.
+
+    The coefficient of z^n is c_n = n^-s1 H_{w[1:]}(n-1), and |c_n| <=
+    n^|w|: once n^(|w|+2) |z|^n is below 10^-40 and falling, the rest of
+    the series adds less than that.
+    """
+    with mpmath.workdps(50):
+        x = max(map(abs, zs))
+        S = [mpmath.mpf(0)] * len(w) + [mpmath.mpf(1)]  # H_{w[i:]}(n - 1)
+        mz = [mpmath.mpf(z) for z in zs]
+        pows, sums = [mpmath.mpf(1)] * len(zs), [mpmath.mpf(0)] * len(zs)
+        n = 0
+        while (n <= (len(w) + 2) / -math.log(x)
+               or n ** (len(w) + 2) * x ** n >= 1e-40):
+            n += 1
+            c = S[1] / mpmath.mpf(n) ** w[0]
+            for i in range(1, len(w)):
+                S[i] += S[i + 1] / mpmath.mpf(n) ** w[i]
+            for j, z in enumerate(mz):
+                pows[j] *= z
+                sums[j] += c * pows[j]
+        return sums
+
+
+def _li_y0_power(k, z):
+    """Li_{y0^k y1}(z) = (z/(1-z))^k (-log(1-z)), 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        return (z / (1 - z)) ** k * -mpmath.log(1 - z)
+
+
+def _assert_tail_holds(w, z, terms, ref):
+    value, tail = polylog_eval(w, z, terms, Y0)
+    err = abs(mpmath.mpf(value) - ref)
+    assert err <= tail + 1e-12 * max(1, abs(ref)), (w, z, terms, err, tail)
+    return float(err), tail
+
+
+@pytest.mark.parametrize("k, z, terms", [
+    (1, 0.999, 1),   # eval li --word "y0 y1" --z 0.999 --terms 1
+    (2, 0.99, 5), (3, 0.99, 5), (1, -0.99, 5), (2, 0.9, 5), (2, -0.9, 40),
+])
+def test_li_tail_bound_holds_on_y0_words(k, z, terms):
+    err, tail = _assert_tail_holds((0,) * k + (1,), z, terms,
+                                   _li_y0_power(k, z))
+    if z > 0:  # the truncation is most of the value: a bound, not a guess
+        assert tail <= 10 * err
+
+
+@pytest.mark.parametrize("w", [(1,), (2,), (1, 1), (2, 1), (0, 2), (1, 0, 1),
+                               (0, 0, 1)])
+def test_li_tail_bound_holds_at_both_signs(w):
+    zs = (0.9, -0.9, 0.99, -0.99)
+    for z, ref in zip(zs, _li_mp(w, zs)):
+        for terms in (5, 60, 400):
+            _assert_tail_holds(w, z, terms, ref)
+
+
 # -- RatZ coefficient ring ---------------------------------------------
 
 def test_ratz_canonical():
@@ -205,3 +265,21 @@ def test_eval_consistency():
 def test_eval_x0_powers():
     f = FElem.li((0, 0))
     assert abs(f.eval(0.5) - math.log(0.5) ** 2 / 2) < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+def test_nested_sum_columns_grow_exactly(e):
+    # any exponent signs, y0 (0) included; N asked out of order, so the
+    # integer columns are grown, read below their end, and grown again
+    from ncgen import polylog
+    polylog._columns.clear()
+    del polylog._lcms[1:]
+    S = [Fraction(1)] * 201  # the direct sum, one letter at a time
+    for k in reversed(e):
+        col = [Fraction(0)]
+        for n in range(1, 201):
+            col.append(col[-1] + Fraction(n) ** k * S[n - 1])
+        S = col
+    for N in (50, 200, 10):
+        assert nested_sum(e, N) == S[N], (e, N)
