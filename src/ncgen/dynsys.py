@@ -62,12 +62,6 @@ class StatePoly:
             t[e] = t.get(e, _ZERO) + c
         return StatePoly(self.m, t)
 
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, _ZERO) - c
-        return StatePoly(self.m, t)
-
     def scale(self, c):
         c = Fraction(c)
         return StatePoly(self.m, {e: c * v for e, v in self.terms.items()})

@@ -21,6 +21,9 @@ need; longer words raise.  The first Faulhaber identity holds with the
 *inclusive* harmonic sum (innermost index allowed to reach 0), which
 only differs from H^- when the last shifted exponent is 0.
 
+Every polynomial here is a polylog.QPoly (the one univariate type), in
+t, N or z; theta0 is a QPoly product and the power tables use **.
+
 Caches: `_li_neg` and `_h_neg` are `functools.cache`s keyed by the word
 (`cache_info()` reports hits, misses and size); li_neg and h_neg call
 them with tuple(w).  The Bernoulli numbers are a table grown in place.
@@ -30,100 +33,7 @@ import functools
 from fractions import Fraction
 from math import comb, factorial
 
-from ncgen.polylog import nested_sum
-
-_ZERO = Fraction(0)
-
-
-class QPoly:
-    """Dense univariate polynomial over Q; var is a display/serialization tag."""
-
-    __slots__ = ("coefs", "var")
-
-    def __init__(self, coefs, var="N"):
-        coefs = [Fraction(c) for c in coefs]
-        while coefs and not coefs[-1]:
-            coefs.pop()
-        self.coefs = tuple(coefs)
-        self.var = var
-
-    @classmethod
-    def const(cls, c, var="N"):
-        return cls([c], var)
-
-    @classmethod
-    def x(cls, var="N"):
-        return cls([0, 1], var)
-
-    def degree(self):
-        return len(self.coefs) - 1 if self.coefs else -1
-
-    def is_zero(self):
-        return not self.coefs
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coefs == other.coefs
-
-    def __hash__(self):
-        return hash(self.coefs)
-
-    def __add__(self, other):
-        if not isinstance(other, QPoly):
-            other = QPoly.const(other, self.var)
-        n = max(len(self.coefs), len(other.coefs))
-        return QPoly([(self.coefs[i] if i < len(self.coefs) else _ZERO)
-                      + (other.coefs[i] if i < len(other.coefs) else _ZERO)
-                      for i in range(n)], self.var)
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coefs], self.var)
-
-    def __sub__(self, other):
-        if not isinstance(other, QPoly):
-            other = QPoly.const(other, self.var)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, QPoly):
-            return QPoly([Fraction(other) * c for c in self.coefs], self.var)
-        out = [_ZERO] * (len(self.coefs) + len(other.coefs) - 1 or 1)
-        for i, a in enumerate(self.coefs):
-            if a:
-                for j, b in enumerate(other.coefs):
-                    out[i + j] += a * b
-        return QPoly(out, self.var)
-
-    __rmul__ = __mul__
-
-    def eval(self, x):
-        val = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.coefs):
-            val = val * x + c
-        return val
-
-    def shift(self, c):
-        """p(x + c)."""
-        c = Fraction(c)
-        out = [_ZERO] * len(self.coefs)
-        for i, a in enumerate(self.coefs):
-            if a:
-                for k in range(i + 1):
-                    out[k] += a * comb(i, k) * c ** (i - k)
-        return QPoly(out, self.var)
-
-    def derivative(self):
-        return QPoly([i * c for i, c in enumerate(self.coefs)][1:], self.var)
-
-    def to_json_dict(self):
-        return {"var": self.var, "coefs": [str(c) for c in self.coefs]}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls([Fraction(c) for c in d["coefs"]], d["var"])
-
-    def __repr__(self):
-        return "QPoly(%s; %s)" % (list(self.coefs), self.var)
-
+from ncgen.polylog import QPoly, nested_sum
 
 T_VAR = "1/(1-z)"
 
@@ -132,12 +42,7 @@ LAMBDA_T = QPoly([-1, 1], T_VAR)  # t - 1
 
 def theta0_t(p):
     """z d/dz on Q[t], t = 1/(1-z): derivation with theta0(t) = t^2 - t."""
-    out = [_ZERO] * (len(p.coefs) + 1)
-    for k, c in enumerate(p.coefs):
-        if c and k:
-            out[k + 1] += c * k
-            out[k] -= c * k
-    return QPoly(out, T_VAR)
+    return QPoly([0, -1, 1], T_VAR) * p.derivative()
 
 
 @functools.cache
@@ -163,7 +68,7 @@ def p_neg(w):
 
 def p_neg_z_coefficient(w, N):
     """Exact coefficient of z^N in p_neg(w), via t^k = sum C(N+k-1,k-1) z^N."""
-    total = _ZERO
+    total = Fraction(0)
     for k, c in enumerate(p_neg(w).coefs):
         if c and k:
             total += c * comb(N + k - 1, k - 1)
@@ -213,11 +118,8 @@ def h_neg_single_closed_form(m):
         raise ValueError("closed form needs m >= 1")
     Np1 = QPoly([1, 1], "N")
     total = QPoly([], "N")
-    power = [QPoly.const(1, "N")]
-    for _ in range(m + 1):
-        power.append(power[-1] * Np1)
     for k in range(m + 1):
-        total = total + comb(m + 1, k) * bernoulli(k) * power[m + 1 - k]
+        total = total + comb(m + 1, k) * bernoulli(k) * Np1 ** (m + 1 - k)
     return Fraction(1, m + 1) * total
 
 
@@ -247,10 +149,7 @@ def bernoulli(k):
 
 def bernoulli_poly(m, var="z"):
     """Classical Bernoulli polynomial B_m(x) = sum_k C(m,k) B_k x^(m-k)."""
-    out = [_ZERO] * (m + 1)
-    for k in range(m + 1):
-        out[m - k] += comb(m, k) * bernoulli(k)
-    return QPoly(out, var)
+    return QPoly([comb(m, j) * bernoulli(m - j) for j in range(m + 1)], var)
 
 
 def li_neg_numerator_z(m):
@@ -263,12 +162,9 @@ def li_neg_numerator_z(m):
     # N(z) = sum_k c_k (1-z)^(m+1-k) where p = sum c_k t^k
     one_minus_z = QPoly([1, -1], "z")
     out = QPoly([], "z")
-    power = [QPoly.const(1, "z")]
-    for _ in range(m + 1):
-        power.append(power[-1] * one_minus_z)
     for k, c in enumerate(p.coefs):
         if c:
-            out = out + c * power[m + 1 - k]
+            out = out + c * one_minus_z ** (m + 1 - k)
     return out
 
 
@@ -381,7 +277,7 @@ def faulhaber_roundtrip(w):
             return False
     n1 = w[0]
     tail = faulhaber_B_poly(w[1:])
-    monomial = QPoly([_ZERO] * (n1 - 1) + [Fraction(n1)], "N")
+    monomial = QPoly([0] * (n1 - 1) + [n1], "N")
     if beta.shift(1) - beta != monomial * tail:
         return False
     if beta.eval(Fraction(0)) != 0:

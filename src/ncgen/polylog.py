@@ -11,10 +11,13 @@ exponents -w, H^-_w (negpolylog) at +w; y0 is exponent 0.  Li_w(z) is
 the partial sum of sum_N [H_w(N) - H_w(N-1)] z^N with a ratio-test tail
 bound.
 
+QPoly is the one univariate polynomial type over Q: H^-_w is one in N,
+Li^-_w one in t = 1/(1-z) (negpolylog), and so are the numerators below.
+
 The second half is the symbolic operator algebra on finite combinations
 sum c_w(z) Li_w(z), with coefficients c_w in Q[z, 1/z, 1/(1-z)]
-(RatZ below, kept canonical as N(z) / (z^a (1-z)^b) with the factors of
-z and 1-z cancelled out of N).  Actions:
+(RatZ below, kept canonical as N(z) / (z^a (1-z)^b), N a QPoly in z with
+the factors of z and 1-z cancelled out of it).  Actions:
 
     dz Li_{x0 w} = Li_w / z          dz Li_{x1 w} = Li_w / (1-z)
     theta0 = z dz,   theta1 = (1-z) dz   (derivations: product rule
@@ -27,6 +30,7 @@ linear over constants).
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from ncgen.ncpoly import NCPoly
 from ncgen.words import X, Y, pi_y_word
@@ -144,17 +148,24 @@ def polylog_eval(w, z, terms=400, alphabet=None):
 
 def _tail_bound(w, x, terms):
     """Bound on sum_{n > terms} |c_n| x^n, c_n the coefficient of z^n in
-    Li_w, w = (s1, ...) a Y0 word: dropping the order of the inner indices,
-    |c_n| <= n^-s1 prod_{i>=2} h_{s_i}(n-1), h_0(m) = m, h_1(m) <= 1 + ln m
-    and h_s <= zeta(s) <= s/(s-1).  The ratio q of consecutive bound terms
+    Li_w, w = (s1, ...) a Y0 word: the r letters s of w[1:] that are equal
+    take strictly ordered indices, so |c_n| <= n^-s1 prod_s h_s(n-1)^r / r!
+    with h_0(m) = m, h_1(m) <= 1 + ln m and h_s <= zeta(s) <= s/(s-1).
+    Each h^r / r! is a running product of h/k, k = 1..r, so neither 199!
+    nor h^199 is formed on its own.  The ratio q of consecutive bound terms
     (n^-s1 aside) falls towards x: they are summed while q >= (1+x)/2, and
     the rest is geometric; ValueError if q is still there MAX_TERMS on."""
     s1, rest = w[0], w[1:]
-    zeta = math.prod(s / (s - 1) for s in rest if s > 1)
+    counts = {s: rest.count(s) for s in dict.fromkeys(rest)}
 
-    def h(m):  # prod_{i>=2} h_{s_i}(m); m >= |rest|, so m = 0 has no log
-        return (float(m) ** rest.count(0)
-                * (1 + math.log(m or 1)) ** rest.count(1) * zeta)
+    def power(h, r):  # h^r / r!
+        return math.prod(h / k for k in range(1, r + 1))
+
+    zeta = math.prod(power(s / (s - 1), r) for s, r in counts.items() if s > 1)
+
+    def h(m):  # the product over s; m >= |rest|, so m = 0 has no log
+        return (power(m, counts.get(0, 0))
+                * power(1 + math.log(m or 1), counts.get(1, 0)) * zeta)
 
     total, start = 0.0, max(terms + 1, len(w))  # c_n = 0 below |w|
     for n in range(start, start + MAX_TERMS):
@@ -166,73 +177,147 @@ def _tail_bound(w, x, terms):
 
 
 # ---------------------------------------------------------------------------
-# exact coefficients in Q[z, 1/z, 1/(1-z)]
+# exact polynomials and coefficients in Q[z, 1/z, 1/(1-z)]
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
+_ZERO = Fraction(0)
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else Fraction(0))
-            + (q[i] if i < len(q) else Fraction(0)) for i in range(n)]
+class QPoly:
+    """Dense univariate polynomial over Q; var is a display/serialization tag."""
+
+    __slots__ = ("coefs", "var")
+
+    def __init__(self, coefs, var="N"):
+        coefs = [Fraction(c) for c in coefs]
+        while coefs and not coefs[-1]:
+            coefs.pop()
+        self.coefs = tuple(coefs)
+        self.var = var
+
+    @classmethod
+    def const(cls, c, var="N"):
+        return cls([c], var)
+
+    def degree(self):
+        return len(self.coefs) - 1 if self.coefs else -1
+
+    def is_zero(self):
+        return not self.coefs
+
+    def __eq__(self, other):
+        return isinstance(other, QPoly) and self.coefs == other.coefs
+
+    def __hash__(self):
+        return hash(self.coefs)
+
+    def __add__(self, other):
+        if not isinstance(other, QPoly):
+            other = QPoly.const(other, self.var)
+        n = max(len(self.coefs), len(other.coefs))
+        return QPoly([(self.coefs[i] if i < len(self.coefs) else _ZERO)
+                      + (other.coefs[i] if i < len(other.coefs) else _ZERO)
+                      for i in range(n)], self.var)
+
+    def __neg__(self):
+        return QPoly([-c for c in self.coefs], self.var)
+
+    def __sub__(self, other):
+        if not isinstance(other, QPoly):
+            other = QPoly.const(other, self.var)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, QPoly):
+            return QPoly([Fraction(other) * c for c in self.coefs], self.var)
+        out = [_ZERO] * (len(self.coefs) + len(other.coefs) - 1 or 1)
+        for i, a in enumerate(self.coefs):
+            if a:
+                for j, b in enumerate(other.coefs):
+                    out[i + j] += a * b
+        return QPoly(out, self.var)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """self^k for an int k >= 0."""
+        out = QPoly.const(1, self.var)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def eval(self, x):
+        val = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
+        for c in reversed(self.coefs):
+            val = val * x + c
+        return val
+
+    def shift(self, c):
+        """p(x + c)."""
+        c = Fraction(c)
+        out = [_ZERO] * len(self.coefs)
+        for i, a in enumerate(self.coefs):
+            if a:
+                for k in range(i + 1):
+                    out[k] += a * math.comb(i, k) * c ** (i - k)
+        return QPoly(out, self.var)
+
+    def derivative(self):
+        return QPoly([i * c for i, c in enumerate(self.coefs)][1:], self.var)
+
+    def to_json_dict(self):
+        return {"var": self.var, "coefs": [str(c) for c in self.coefs]}
+
+    @classmethod
+    def from_json_dict(cls, d):
+        return cls([Fraction(c) for c in d["coefs"]], d["var"])
+
+    def __repr__(self):
+        return "QPoly(%s; %s)" % (list(self.coefs), self.var)
+
+
+_Z = QPoly([0, 1], "z")
+_U = QPoly([1, -1], "z")  # 1 - z
 
 
 class RatZ:
-    """Element of Q[z, 1/z, 1/(1-z)]: num(z) / (z^a (1-z)^b), canonical."""
+    """Element of Q[z, 1/z, 1/(1-z)]: num(z) / (z^a (1-z)^b), canonical.
+
+    num is a QPoly in z (a coefficient list is converted); z does not
+    divide it when a > 0, nor 1 - z when b > 0, and zero has a = b = 0.
+    """
 
     __slots__ = ("num", "a", "b")
 
     def __init__(self, num, a=0, b=0):
-        num = [Fraction(c) for c in num]
-        while num and not num[-1]:
-            num.pop()
-        if not num:
+        num = num if isinstance(num, QPoly) else QPoly(num, "z")
+        if num.is_zero():
             a = b = 0
-        else:
-            while a > 0 and not num[0]:
-                num = num[1:]
-                a -= 1
-            while b > 0 and sum(num) == 0:  # (1-z) | num iff num(1) = 0
-                q, acc = [], Fraction(0)
-                for c in num[:-1]:
-                    acc += c
-                    q.append(acc)
-                num = q
-                b -= 1
-            while num and not num[-1]:
-                num.pop()
-        self.num = tuple(num)
-        self.a = a
-        self.b = b
+        while a > 0 and not num.coefs[0]:
+            num, a = QPoly(num.coefs[1:], "z"), a - 1
+        while b > 0 and not num.eval(1):  # (1-z) | num: quotient by prefix sums
+            num, b = QPoly(accumulate(num.coefs[:-1]), "z"), b - 1
+        self.num, self.a, self.b = num, a, b
 
     @classmethod
     def const(cls, c):
-        return cls([Fraction(c)])
+        return cls([c])
 
     @classmethod
     def z_pow(cls, k):
-        if k >= 0:
-            return cls([Fraction(0)] * k + [Fraction(1)])
-        return cls([Fraction(1)], a=-k)
+        return cls(_Z ** k) if k >= 0 else cls([1], a=-k)
 
     @classmethod
     def uinv_pow(cls, k):
         """(1-z)^(-k), k >= 0."""
-        return cls([Fraction(1)], b=k)
+        return cls([1], b=k)
 
     @classmethod
     def lam(cls):
         """z/(1-z)."""
-        return cls([Fraction(0), Fraction(1)], b=1)
+        return cls(_Z, b=1)
 
     def is_zero(self):
-        return not self.num
+        return self.num.is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, RatZ) and self.num == other.num
@@ -243,20 +328,12 @@ class RatZ:
 
     def __add__(self, other):
         a, b = max(self.a, other.a), max(self.b, other.b)
-        p = list(self.num)
-        for _ in range(a - self.a):
-            p = _poly_mul(p, [Fraction(0), Fraction(1)]) if p else p
-        for _ in range(b - self.b):
-            p = _poly_mul(p, [Fraction(1), Fraction(-1)]) if p else p
-        q = list(other.num)
-        for _ in range(a - other.a):
-            q = _poly_mul(q, [Fraction(0), Fraction(1)]) if q else q
-        for _ in range(b - other.b):
-            q = _poly_mul(q, [Fraction(1), Fraction(-1)]) if q else q
-        return RatZ(_poly_add(p, q), a, b)
+        return RatZ(self.num * _Z ** (a - self.a) * _U ** (b - self.b)
+                    + other.num * _Z ** (a - other.a) * _U ** (b - other.b),
+                    a, b)
 
     def __neg__(self):
-        return RatZ([-c for c in self.num], self.a, self.b)
+        return RatZ(-self.num, self.a, self.b)
 
     def __sub__(self, other):
         return self + (-other)
@@ -264,39 +341,23 @@ class RatZ:
     def __mul__(self, other):
         if not isinstance(other, RatZ):
             other = RatZ.const(other)
-        if self.is_zero() or other.is_zero():
-            return RatZ([])
-        return RatZ(_poly_mul(list(self.num), list(other.num)),
-                    self.a + other.a, self.b + other.b)
+        return RatZ(self.num * other.num, self.a + other.a, self.b + other.b)
 
     __rmul__ = __mul__
 
     def derivative(self):
-        """d/dz."""
-        if self.is_zero():
-            return RatZ([])
-        n = list(self.num)
-        dn = [i * c for i, c in enumerate(n)][1:] or [Fraction(0)]
-        # [N' z(1-z) - a N (1-z) + b N z] / (z^(a+1) (1-z)^(b+1))
-        term = _poly_mul(dn, [Fraction(0), Fraction(1), Fraction(-1)])
-        if self.a:
-            term = _poly_add(term, _poly_mul(n, [Fraction(-self.a), Fraction(self.a)]))
-        if self.b:
-            term = _poly_add(term, _poly_mul(n, [Fraction(0), Fraction(self.b)]))
-        return RatZ(term, self.a + 1, self.b + 1)
+        """d/dz = [N' z(1-z) - a N (1-z) + b N z] / (z^(a+1) (1-z)^(b+1))."""
+        n = self.num
+        return RatZ(n.derivative() * _Z * _U - self.a * n * _U
+                    + self.b * n * _Z, self.a + 1, self.b + 1)
 
     def eval(self, z):
-        if self.is_zero():
-            return 0 * z
-        val = 0 * z
-        for c in reversed(self.num):
-            val = val * z + c
-        return val / (z ** self.a * (1 - z) ** self.b)
+        return self.num.eval(z) / (z ** self.a * (1 - z) ** self.b)
 
     def __repr__(self):
         if self.is_zero():
             return "RatZ(0)"
-        return "RatZ(%s / z^%d (1-z)^%d)" % (list(self.num), self.a, self.b)
+        return "RatZ(%s / z^%d (1-z)^%d)" % (list(self.num.coefs), self.a, self.b)
 
 
 _ONE = RatZ.const(1)
@@ -349,7 +410,7 @@ class FElem:
         return self._theta(RatZ.z_pow(1))
 
     def theta1(self):
-        return self._theta(RatZ([Fraction(1), Fraction(-1)]))
+        return self._theta(RatZ(_U))
 
     def _theta(self, mult):
         out = {}

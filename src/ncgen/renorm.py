@@ -18,8 +18,8 @@ Contents:
     which trades the letter y1 between the two sides;
   * the z -> 1 / N -> infinity Abel-type comparison of the polylog and
     harmonic-sum generating series, with a fitted limit in the basis
-    {1, eps log eps, eps} since the raw endpoint gap decays like
-    eps log eps;
+    {1, eps log eps, eps, eps log^2 eps} since the raw endpoint gap
+    decays like eps log^j eps;
   * Euler-Maclaurin constants (gamma and the y1^2 coefficient);
   * the single-variable monomial/constant-part series in y1.
 """

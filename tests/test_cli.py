@@ -217,7 +217,8 @@ def test_bad_numbers_exit_2(capsys, argv):
 
 
 def test_eval_li_tail_bound_overflow_exits_2(capsys):
-    # (T+1)^|w| in the tail bound overflows a float for a 200-letter word
+    # every coefficient of a 200-letter word is below 1/199!: the value
+    # underflows a float and is refused
     code, _, err = run(capsys, "eval", "li", "--word", " ".join(["y1"] * 200),
                        "--z", "0.5")
     assert code == 2
@@ -528,6 +529,10 @@ EXACT_OUTPUT = [
      "a99024b9719ca21651f09017d6bebd7812560e06982030a0b95b413a7618df0f"),
     (["verify", "duality", "--alphabet", "Y", "--depth", "5"],
      "3ae7eaee7010ad7749366009cca422d3c49a947d98a58780ab69caa0494393a2"),
+    (["--format", "json", "eval", "hneg", "--word", "y3 y2 y1"],
+     "acd576f0c1c2cedb0334934024a2acac486b8904504a0cfac1e99747f9fc195c"),
+    (["--format", "json", "eval", "hneg", "--word", "y4 y0 y1"],
+     "bcb22601f4eb3d8cf7063a1a1c3c578be44f684a4c0be53c9bfece18d45b676a"),
 ]
 
 

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from ncgen.ncpoly import is_grouplike, stuffle_words, words_up_to
 from ncgen.negpolylog import h_neg, h_neg_value
 from ncgen.polylog import (
-    FElem, RatZ, harmonic, harmonic_array, harmonic_float, harmonic_series,
+    FElem, QPoly, RatZ, harmonic, harmonic_array, harmonic_float, harmonic_series,
     nested_sum, polylog_eval,
 )
 from ncgen.words import Y, Y0
@@ -169,12 +170,24 @@ def test_li_tail_bound_holds_on_y0_words(k, z, terms):
 
 
 @pytest.mark.parametrize("w", [(1,), (2,), (1, 1), (2, 1), (0, 2), (1, 0, 1),
-                               (0, 0, 1)])
+                               (0, 0, 1), (1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1),
+                               (0, 0, 0, 1)])
 def test_li_tail_bound_holds_at_both_signs(w):
     zs = (0.9, -0.9, 0.99, -0.99)
     for z, ref in zip(zs, _li_mp(w, zs)):
         for terms in (5, 60, 400):
             _assert_tail_holds(w, z, terms, ref)
+
+
+def test_li_tail_bound_keeps_the_order_of_equal_letters():
+    # r equal letters take strictly ordered indices: the bound divides by r!
+    value, tail = polylog_eval((1,) * 200, 0.9, 2000)
+    assert 0 < value and 0 < tail < 1e-250
+    # Li_{y1^6}(z) = (-log(1-z))^6 / 6!: the bound is a bound, not a guess
+    with mpmath.workdps(50):
+        ref = (-mpmath.log(1 - mpmath.mpf(0.99))) ** 6 / 720
+    err, tail = _assert_tail_holds((1,) * 6, 0.99, 60, ref)
+    assert tail <= 10 * err
 
 
 # -- RatZ coefficient ring ---------------------------------------------
@@ -203,6 +216,47 @@ def test_ratz_derivative():
 def test_ratz_eval():
     assert RatZ.lam().eval(Fraction(1, 3)) == Fraction(1, 2)
     assert RatZ.uinv_pow(2).eval(0.5) == 4.0
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_ratz_parts = st.tuples(st.lists(_fractions, max_size=5), st.integers(0, 3),
+                        st.integers(0, 3))
+_z_inside = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                         max_denominator=100)
+
+
+def _sympy_ratz(num, a, b):
+    z = sympy.Symbol("z")
+    return z, sum(sympy.Rational(c.numerator, c.denominator) * z ** i
+                  for i, c in enumerate(num)) / (z ** a * (1 - z) ** b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratz_parts, _ratz_parts, _z_inside)
+def test_ratz_ring_agrees_with_values(r_parts, s_parts, z):
+    r, s = RatZ(*r_parts), RatZ(*s_parts)
+    rz, sz = r.eval(z), s.eval(z)
+    assert (r + s).eval(z) == rz + sz
+    assert (r - s).eval(z) == rz - sz
+    assert (r * s).eval(z) == rz * sz
+    # the canonical form is unique: the round trip lands on r itself
+    back = (r + s) - s
+    assert back == r and hash(back) == hash(r)
+    sym, expr = _sympy_ratz(*r_parts)
+    d = sympy.diff(expr, sym).subs(sym, sympy.Rational(z.numerator,
+                                                       z.denominator))
+    assert r.derivative().eval(z) == Fraction(int(d.p), int(d.q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_fractions, max_size=4), st.integers(0, 5), _z_inside)
+def test_qpoly_power_is_the_repeated_product(coefs, k, x):
+    p = QPoly(coefs, "z")
+    product = QPoly([1], "z")
+    for _ in range(k):
+        product = product * p
+    assert p ** k == product
+    assert (p ** k).eval(x) == p.eval(x) ** k
 
 
 # -- operator algebra --------------------------------------------------
