@@ -14,8 +14,10 @@ With these pairings the output is y(z) = sum_w <sigma(f)|w> alpha_w.
 
 Chen series for the two singular forms dz/z and dz/(1-z) come either
 from the factorized polylog product (renorm.l_series) or from direct
-integration of the word ODE; for ordinary (non-singular) constant
-controls on [0, T] the coefficients collapse to u_{i1}...u_{ik} T^k/k!.
+integration of the word ODE, both on segments inside (0, 1); for ordinary
+(non-singular) constant controls on [0, T] the coefficients collapse to
+u_{i1}...u_{ik} T^k/k!.  Every ODE here is solved by one call, _solve:
+scipy's DOP853 with rtol 1e-12 and atol 1e-14.
 """
 
 import json
@@ -27,7 +29,7 @@ from scipy.integrate import solve_ivp
 
 from ncgen.ncpoly import NCPoly, words_up_to
 from ncgen.hopf import dual_s, pbw_p
-from ncgen.rational import LinearRepresentation
+from ncgen.renorm import _check_segment
 from ncgen.words import X
 
 _ZERO = Fraction(0)
@@ -51,9 +53,9 @@ class StatePoly:
         return cls(m, {(0,) * m: c})
 
     @classmethod
-    def coord(cls, m, j, power=1):
+    def coord(cls, m, j):
         e = [0] * m
-        e[j] = power
+        e[j] = 1
         return cls(m, {tuple(e): 1})
 
     def __add__(self, other):
@@ -161,16 +163,10 @@ class PolySystem:
         """<sigma(f)|w> = (A(w) f)(q0), exact."""
         return self.word_derivative(w).eval(self.q0)
 
-    def generating_series(self, depth, observation=None):
+    def generating_series(self, depth):
         """sigma(f) truncated to words of length <= depth, exact NCPoly."""
-        if observation is None:
-            terms = {w: self.fliess_coefficient(w)
-                     for w in words_up_to(X, depth)}
-        else:
-            sub = PolySystem(self.fields, observation, self.q0, self.z0)
-            terms = {w: sub.fliess_coefficient(w)
-                     for w in words_up_to(X, depth)}
-        return NCPoly(X, terms)
+        return NCPoly(X, {w: self.fliess_coefficient(w)
+                          for w in words_up_to(X, depth)})
 
     def to_json_dict(self):
         return {
@@ -195,14 +191,21 @@ class PolySystem:
 # ---------------------------------------------------------------------------
 # Chen series of the two singular forms
 
-def chen_ode(z0, z1, depth, rtol=1e-12, atol=1e-14):
+def _solve(rhs, t0, t1, y0):
+    """y(t1) for y' = rhs(t, y), y(t0) = y0; RuntimeError if it fails."""
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol.y[:, -1]
+
+
+def chen_ode(z0, z1, depth):
     """All alpha_w(z0 -> z1), |w| <= depth, by integrating the word ODE.
 
     alpha'_{x_i v}(z) = omega_i(z) alpha_v(z), omega_0 = 1/z,
     omega_1 = 1/(1-z); needs 0 < z < 1 along the segment.
     """
-    if not (0 < min(z0, z1) and max(z0, z1) < 1):
-        raise ValueError("segment must stay inside (0, 1)")
+    _check_segment(z0, z1)
     ws = words_up_to(X, depth)
     index = {w: i for i, w in enumerate(ws)}
     first = np.array([w[0] if w else -1 for w in ws])
@@ -219,34 +222,27 @@ def chen_ode(z0, z1, depth, rtol=1e-12, atol=1e-14):
 
     a0 = np.zeros(len(ws))
     a0[index[()]] = 1.0
-    sol = solve_ivp(rhs, (z0, z1), a0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    final = sol.y[:, -1]
+    final = _solve(rhs, z0, z1, a0)
     return NCPoly(X, {w: final[index[w]] for w in ws}, depth)
 
 
-def iterated_integral(w, z0, z1, rtol=1e-12):
+def iterated_integral(w, z0, z1):
     """Single iterated integral alpha_w(z0 -> z1) of the singular forms."""
+    _check_segment(z0, z1)
     w = tuple(w)
     suffixes = [w[i:] for i in range(len(w) + 1)]
     index = {v: i for i, v in enumerate(suffixes)}
 
     def rhs(z, a):
         out = np.zeros_like(a)
-        for v in suffixes:
-            if not v:
-                continue
+        for v in suffixes[:-1]:  # the last suffix is the empty word
             om = 1.0 / z if v[0] == 0 else 1.0 / (1.0 - z)
             out[index[v]] = om * a[index[v[1:]]]
         return out
 
     a0 = np.zeros(len(suffixes))
     a0[index[()]] = 1.0
-    sol = solve_ivp(rhs, (z0, z1), a0, method="DOP853", rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    return float(sol.y[index[w], -1])
+    return float(_solve(rhs, z0, z1, a0)[index[w]])
 
 
 def chen_drift(T, depth, controls=(1.0, 0.0)):
@@ -264,14 +260,17 @@ def chen_drift(T, depth, controls=(1.0, 0.0)):
 # ---------------------------------------------------------------------------
 # outputs
 
-def fliess_output(system, chen, depth):
-    """y = sum_{|w| <= depth} <sigma(f)|w> alpha_w."""
+def _pair(p, series):
+    """<p|series> in floats, summed in the term order of p."""
     total = 0.0
-    for w in words_up_to(X, depth):
-        c = system.fliess_coefficient(w)
-        if c:
-            total += float(c) * chen.coeff(w)
+    for w, c in p.terms.items():
+        total += float(c) * float(series.coeff(w))
     return total
+
+
+def fliess_output(system, chen, depth):
+    """y = <sigma(f)|C> = sum_{|w| <= depth} <sigma(f)|w> alpha_w."""
+    return _pair(system.generating_series(depth), chen)
 
 
 def fliess_output_rep(rep, chen, depth):
@@ -298,50 +297,35 @@ def dyson_output(system, chen, depth):
     sigma = system.generating_series(depth)
     total = 0.0
     for w in words_up_to(X, depth):
-        s_val = sum(float(c) * float(sigma.coeff(v))
-                    for v, c in dual_s(w).terms.items())
-        if s_val == 0.0:
-            continue
-        p_val = sum(float(c) * chen.coeff(v)
-                    for v, c in pbw_p(w).terms.items())
-        total += s_val * p_val
+        s_val = _pair(dual_s(w), sigma)
+        if s_val:
+            total += s_val * _pair(pbw_p(w), chen)
     return total
 
 
-def ode_reference(system, controls, T, n_eval=1, rtol=1e-12):
-    """Observation of the controlled ODE q' = sum_i u_i A_i(q) at time T."""
-    comps = [[c for c in fld.components] for fld in system.fields]
-
-    def rhs(_, q):
+def _flow(system, weights, t0, t1):
+    """Observation at t1 of q' = sum_i weights(t)[i] A_i(q), q(t0) = q0."""
+    def rhs(t, q):
         out = np.zeros(system.m)
-        for u, comp in zip(controls, comps):
+        for u, fld in zip(weights(t), system.fields):
             if u:
-                for j, poly in enumerate(comp):
+                for j, poly in enumerate(fld.components):
                     out[j] += u * poly.eval(q)
         return out
 
     q0 = np.array([float(c) for c in system.q0])
-    sol = solve_ivp(rhs, (0.0, T), q0, method="DOP853", rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    return system.observation.eval(sol.y[:, -1])
+    return float(system.observation.eval(_solve(rhs, t0, t1, q0)))
 
 
-def ode_reference_forms(system, z0, z1, rtol=1e-12):
+def ode_reference(system, controls, T):
+    """Observation of the controlled ODE q' = sum_i u_i A_i(q) at time T."""
+    return _flow(system, lambda t: controls, 0.0, T)
+
+
+def ode_reference_forms(system, z0, z1):
     """Observation of q' = A_0(q)/z + A_1(q)/(1-z) from z0 to z1."""
-    def rhs(z, q):
-        out = np.zeros(system.m)
-        for j, poly in enumerate(system.fields[0].components):
-            out[j] += poly.eval(q) / z
-        for j, poly in enumerate(system.fields[1].components):
-            out[j] += poly.eval(q) / (1.0 - z)
-        return out
-
-    q0 = np.array([float(c) for c in system.q0])
-    sol = solve_ivp(rhs, (z0, z1), q0, method="DOP853", rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    return system.observation.eval(sol.y[:, -1])
+    _check_segment(z0, z1)
+    return _flow(system, lambda z: (1.0 / z, 1.0 / (1.0 - z)), z0, z1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +408,13 @@ def system_vanderpol(mu, q0):
     return PolySystem([a0, a1], q1, q0)
 
 
+# builtin name -> (builder, its parameters in sorted order); q0 comes last
+_BUILTINS = {"hypergeometric": (system_hypergeometric, ["t0", "t1", "t2"]),
+             "oscillator": (system_oscillator, ["k1", "k2"]),
+             "duffing": (system_duffing, ["a", "b", "c"]),
+             "vanderpol": (system_vanderpol, ["mu"])}
+
+
 def load_system(path):
     with open(path) as fh:
         data = json.load(fh)
@@ -435,22 +426,16 @@ def load_system(path):
         raise ValueError("z0 must be a number, got %r" % (z0,))
     if "builtin" in data:
         name = data["builtin"]
-        params = {k: Fraction(v) for k, v in data.get("params", {}).items()}
-        q0 = [Fraction(c) for c in data["q0"]]
-        builders = {
-            "hypergeometric": lambda: system_hypergeometric(
-                params["t0"], params["t1"], params["t2"], q0),
-            "oscillator": lambda: system_oscillator(
-                params["k1"], params["k2"], q0),
-            "duffing": lambda: system_duffing(
-                params["a"], params["b"], params["c"], q0),
-            "vanderpol": lambda: system_vanderpol(params["mu"], q0),
-        }
-        try:
-            system = builders[name]()
-        except KeyError:
-            raise ValueError("unknown builtin system %r" % name) from None
-        system.z0 = data.get("z0")
+        if name not in _BUILTINS:
+            raise ValueError("unknown builtin system %r" % (name,))
+        build, names = _BUILTINS[name]
+        params = data.get("params", {})
+        if sorted(params) != names:
+            raise ValueError("builtin %r wants parameters %s, got %s"
+                             % (name, names, sorted(params)))
+        system = build(*[Fraction(params[k]) for k in names],
+                       [Fraction(c) for c in data["q0"]])
+        system.z0 = z0
     else:
         m = data["m"]
         if type(m) is not int or m < 1:

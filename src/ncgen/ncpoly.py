@@ -243,11 +243,9 @@ class NCPoly:
             raise ValueError("pi_y expects an X series")
         return self.map_words(pi_y_word, alphabet=Y)
 
-    def max_abs_diff(self, other, max_weight=None):
-        """max |<self|w> - <other|w>| over the words up to max_weight and
-        the depths."""
-        diff = (self - other).truncate(max_weight)
-        return max(map(abs, diff.terms.values()), default=0.0)
+    def max_abs_diff(self, other):
+        """max |<self|w> - <other|w>| over the words up to the depths."""
+        return max(map(abs, (self - other).terms.values()), default=0.0)
 
     def support(self):
         return sorted(self.terms)
@@ -262,8 +260,8 @@ class NCPoly:
         return {"terms": items}
 
     @classmethod
-    def from_json_dict(cls, d, alphabet=None):
-        terms = {}
+    def from_json_dict(cls, d):
+        terms, alphabet = {}, None
         for item in d["terms"]:
             w, a = str_to_word(item["word"])
             if alphabet is None and w:

@@ -147,9 +147,9 @@ def bernoulli(k):
     return _bernoulli_cache[k]
 
 
-def bernoulli_poly(m, var="z"):
-    """Classical Bernoulli polynomial B_m(x) = sum_k C(m,k) B_k x^(m-k)."""
-    return QPoly([comb(m, j) * bernoulli(m - j) for j in range(m + 1)], var)
+def bernoulli_poly(m):
+    """Classical Bernoulli polynomial B_m(z) = sum_k C(m,k) B_k z^(m-k)."""
+    return QPoly([comb(m, j) * bernoulli(m - j) for j in range(m + 1)], "z")
 
 
 def li_neg_numerator_z(m):

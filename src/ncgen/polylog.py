@@ -111,14 +111,14 @@ def auto_terms(z):
     return int(min(MAX_TERMS, max(2000, 40.0 / max(1e-9, 1.0 - abs(z)))))
 
 
-def polylog_eval(w, z, terms=400, alphabet=None):
+def polylog_eval(w, z, terms=None, alphabet=None):
     """Partial-sum value of Li_w(z) for |z| < 1, with a tail bound.
 
     w is read in the alphabet given: an X-word must lie in X*x1 (it codes
     an index word), a Y/Y0 word is one.  Without it a word over {0, 1} is
-    read as an X-word.  terms=None sums auto_terms(z) terms; terms above
-    MAX_TERMS are refused, and so is a value that underflows to 0.  The
-    empty word gives 1.  Returns (value, _tail_bound(...)).
+    read as an X-word.  terms=None (the default) sums auto_terms(z) terms;
+    terms above MAX_TERMS are refused, and so is a value that underflows
+    to 0.  The empty word gives 1.  Returns (value, _tail_bound(...)).
     """
     w = tuple(w)
     if not (-1 < z < 1):
@@ -432,8 +432,9 @@ class FElem:
     def iota(self, letter):
         return FElem({(letter,) + w: c for w, c in self.terms.items()})
 
-    def eval(self, z, terms=400):
-        """Numeric value; words must be empty, x0-powers, or end in x1."""
+    def eval(self, z):
+        """Numeric value, each Li summed to auto_terms(z) terms; words must
+        be empty, x0-powers, or end in x1."""
         from math import log, factorial
         total = 0.0
         for w, c in self.terms.items():
@@ -442,7 +443,7 @@ class FElem:
             elif set(w) == {0}:
                 li = log(z) ** len(w) / factorial(len(w))
             elif w[-1] == 1:
-                li = polylog_eval(w, z, terms, X)[0]
+                li = polylog_eval(w, z, alphabet=X)[0]
             else:
                 raise ValueError("cannot evaluate Li for word %r" % (w,))
             total += float(c.eval(z)) * li

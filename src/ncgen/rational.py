@@ -130,17 +130,16 @@ class LinearRepresentation:
 # ---------------------------------------------------------------------------
 # stock representations
 
-def rep_all_ones(alphabet=X, letters=(0, 1)):
-    """<S|w> = 1 for every word: the character series of the free monoid."""
-    return LinearRepresentation(
-        alphabet, [1], {a: [[1]] for a in letters}, [1])
+def rep_all_ones():
+    """<S|w> = 1 for every X-word: the character series of the free monoid."""
+    return LinearRepresentation(X, [1], {0: [[1]], 1: [[1]]}, [1])
 
 
-def rep_single_word(w, alphabet=X, letters=(0, 1)):
-    """<S|v> = 1 if v == w else 0, on a chain of |w|+1 states."""
+def rep_single_word(w):
+    """<S|v> = 1 if v == w else 0 over X, on a chain of |w|+1 states."""
     n = len(w) + 1
     mu = {}
-    for a in letters:
+    for a in (0, 1):
         mat = [[_ZERO] * n for _ in range(n)]
         for i, b in enumerate(w):
             if b == a:
@@ -148,7 +147,7 @@ def rep_single_word(w, alphabet=X, letters=(0, 1)):
         mu[a] = mat
     lam = [Fraction(1)] + [_ZERO] * (n - 1)
     eta = [_ZERO] * (n - 1) + [Fraction(1)]
-    return LinearRepresentation(alphabet, lam, mu, eta)
+    return LinearRepresentation(X, lam, mu, eta)
 
 
 def rep_hypergeometric(t0, t1, t2, q0=(1, 0)):
@@ -192,13 +191,15 @@ def hankel_rank(coefficient, alphabet=X, depth=3):
 # ---------------------------------------------------------------------------
 # growth of coefficients
 
-def growth_condition_check(coefficient, alphabet=X, depth=6, K=None, C=None):
+def growth_condition_check(coefficient, depth=6, K=None, C=None):
     """Check or estimate |<S|w>| <= C K^|w| |w|! up to a length.
 
-    With K and C given, verifies the bound and reports the first
-    violation; otherwise returns heuristic minimal constants from the
-    sampled lengths (an estimate, not a certificate).
+    coefficient: a LinearRepresentation, or word -> number over X.  With
+    K and C given, verifies the bound and reports the first violation;
+    otherwise returns heuristic minimal constants from the sampled
+    lengths (an estimate, not a certificate).
     """
+    alphabet = X
     if isinstance(coefficient, LinearRepresentation):
         alphabet = coefficient.alphabet
         coefficient = coefficient.truncated_series(depth).coeff

@@ -45,9 +45,9 @@ TruncatedNCSeries = NCPoly
 # ---------------------------------------------------------------------------
 # numeric polylogarithms and zeta values
 
-def li_numeric(w, z, n_terms=None):
+def li_numeric(w, z):
     """Li_w(z) for a convergent X-word (x0...x1) or Y-word, |z| < 1."""
-    return polylog_eval(w, z, n_terms)[0]
+    return polylog_eval(w, z)[0]
 
 
 @functools.cache
@@ -117,13 +117,11 @@ def z_stuffle_series(depth):
     return NCPoly(Y, _z_st(depth).terms, depth)
 
 
-def bridge_series(depth, z_shuffle=None):
+def bridge_series(depth):
     """exp(-sum_{k>=2} zeta(k)(-y1)^k/k) * pi_Y(Z_shuffle)."""
-    if z_shuffle is None:
-        z_shuffle = _z_sh(depth)
     coefs = {k: -zeta_numeric(k) * (-1.0) ** k / k
              for k in range(2, depth + 1)}
-    return ncpoly_exp_y1(coefs, depth) * z_shuffle.pi_y()
+    return ncpoly_exp_y1(coefs, depth) * _z_sh(depth).pi_y()
 
 
 def rounding_tol(*series):
@@ -150,41 +148,50 @@ def bridge_check(depth=4, n=None, tol=None):
 # ---------------------------------------------------------------------------
 # the factorized polylog generating series L(z)
 
-def l_series(z, depth, n_terms=None):
-    """L(z) = e^{-log(1-z) x1} prod_l exp(Li_{S_l}(z) P_l) e^{log(z) x0}.
+def _check_segment(*zs):
+    """The forms dz/z and dz/(1-z) are regular only for 0 < z < 1."""
+    if not all(0 < z < 1 for z in zs):
+        raise ValueError("segment must stay inside (0, 1)")
+
+
+def l_series(z, depth):
+    """L(z) = e^{-log(1-z) x1} prod_l exp(Li_{S_l}(z) P_l) e^{log(z) x0}
+    up to words of length depth, for 0 < z < 1 (ValueError otherwise).
 
     The ordered product runs over Lyndon X-words other than the letters,
-    largest leftmost; each Li_{S_l} is a finite combination of
-    convergent polylogarithms.
+    largest leftmost; each Li_{S_l} is a finite combination of convergent
+    polylogarithms, each summed to auto_terms(z) terms.
     """
+    _check_segment(z)
     out = series_exp(NCPoly(X, {(1,): -math.log(1.0 - z)}, depth))
     out = out.scale(1.0)  # float even at depth 0, where out is the unit
     for l in reversed(lyndon_words(X, max_length=depth)):
         if len(l) == 1:
             continue
-        coef = sum(float(c) * polylog_eval(v, z, n_terms, X)[0]
+        coef = sum(float(c) * polylog_eval(v, z, alphabet=X)[0]
                    for v, c in dual_s(l).terms.items())
         out = out * series_exp(pbw_p(l).truncate(depth).scale(coef))
     return out * series_exp(NCPoly(X, {(0,): math.log(z)}, depth))
 
 
-def chen_between(z0, z1, depth, n_terms=None):
-    """Truncated Chen series along z0 -> z1 (both in (0,1)): L(z1) L(z0)^{-1}."""
-    return l_series(z1, depth, n_terms) * l_series(z0, depth, n_terms).inverse()
+def chen_between(z0, z1, depth):
+    """Chen series along z0 -> z1, L(z1) L(z0)^{-1}, up to words of length
+    depth; both ends in (0, 1) (ValueError otherwise)."""
+    return l_series(z1, depth) * l_series(z0, depth).inverse()
 
 
-def chen_endpoint_sanity(eps_list=(0.1, 0.03, 0.01), depth=2):
+def chen_endpoint_sanity():
     """Regularized endpoint extraction of zeta(2) from a Chen series.
 
     e^{x1 log eps} S_{eps -> 1-eps} e^{x0 log eps} has x0x1-coefficient
-    tending to zeta(2); returns [(eps, error)] with |error| decreasing.
+    tending to zeta(2): [(eps, error)] for eps = 0.1, 0.03, 0.01.
     """
     out = []
     target = math.pi ** 2 / 6.0
-    for eps in eps_list:
-        s = chen_between(eps, 1.0 - eps, depth)
-        left = series_exp(NCPoly(X, {(1,): math.log(eps)}, depth))
-        right = series_exp(NCPoly(X, {(0,): math.log(eps)}, depth))
+    for eps in (0.1, 0.03, 0.01):
+        s = chen_between(eps, 1.0 - eps, 2)
+        left = series_exp(NCPoly(X, {(1,): math.log(eps)}, 2))
+        right = series_exp(NCPoly(X, {(0,): math.log(eps)}, 2))
         reg = left * s * right
         out.append((eps, reg.coeff((0, 1)) - target))
     return out
@@ -206,23 +213,24 @@ def n_side_limit_series(max_weight, n=DEFAULT_N):
     return ncpoly_exp_y1(coefs, max_weight) * harmonic_truncated_series(n, max_weight)
 
 
-def z_side_series(z, max_weight, n_terms=None):
+def z_side_series(z, max_weight):
     """exp(-y1 log(1/(1-z))) pi_Y(L(z))."""
-    lz = l_series(z, max_weight, n_terms)
+    lz = l_series(z, max_weight)
     head = ncpoly_exp_y1({1: math.log(1.0 - z)}, max_weight)
     return head * lz.pi_y()
 
 
-def abel_limits_check(max_weight=3, n=DEFAULT_N,
-                      eps_list=(1e-2, 5e-3, 2e-3, 1e-3), tol=1e-3):
+def abel_limits_check(max_weight=3, n=DEFAULT_N):
     """Compare the z -> 1 and N -> infinity regularized limits.
 
     The raw endpoint gap at z = 1 - eps decays like eps log^j(eps)
     (j < weight), which at eps = 1e-3 is still a few 1e-3; so alongside
     the raw gap the check fits g(eps) = a + b eps log(eps) + c eps +
-    d eps log^2(eps) through the sampled endpoints and compares the
-    fitted limit a (per word) against the N-side value.
+    d eps log^2(eps) through the endpoints at eps_list and compares the
+    fitted limit a (per word) against the N-side value: pass iff every
+    fitted gap is <= tol.
     """
+    eps_list, tol = (1e-2, 5e-3, 2e-3, 1e-3), 1e-3
     n_side = n_side_limit_series(max_weight, n)
     z_target = _z_sh(max_weight).pi_y()
     samples = [z_side_series(1.0 - eps, max_weight) for eps in eps_list]

@@ -542,3 +542,88 @@ def test_exact_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("system, message", [
+    ({"builtin": "oscillator", "params": {"k1": "1"}, "q0": ["1"]},
+     "builtin 'oscillator' wants parameters ['k1', 'k2'], got ['k1']"),
+    ({"builtin": "hypergeometric", "q0": ["1", "0"],
+      "params": {"t0": "1/4", "t1": "1/4", "t2": "1/3", "extra": "5"}},
+     "builtin 'hypergeometric' wants parameters ['t0', 't1', 't2'], "
+     "got ['extra', 't0', 't1', 't2']"),
+], ids=["missing", "unknown"])
+def test_simulate_builtin_parameters_must_match(tmp_path, capsys, system,
+                                                message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, "simulate", "--system", str(path),
+                         "--z", "0.4")
+    assert code == 2 and out == ""
+    assert err == "error: cannot load system: %s\n" % message
+
+
+_BUILTIN_SYSTEMS = {
+    "hypergeometric": {"params": {"t0": "1/4", "t1": "1/4", "t2": "1/3"},
+                       "q0": ["1", "0"], "z0": 0.2},
+    "oscillator": {"params": {"k1": "1", "k2": "2"}, "q0": ["1"]},
+    "duffing": {"params": {"a": "1", "b": "1/2", "c": "1/10"},
+                "q0": ["1/4", "0"]},
+}
+_FORMS = ["--z", "0.4", "--depth", "10"]
+_DRIFT = ["--T", "0.1", "--controls", "1.0,0.5", "--depth", "8"]
+
+# sha256 of the stdout of float runs through the ODE, Chen and Fliess
+# layers at 17 digits; (builtin system or None, argv, digest)
+FLOAT_OUTPUT = [
+    ("hypergeometric", _FORMS,
+     "1db982942a8d19beab58ff47dc13c46d1a974e0ba3686d1c8d8d624629008258"),
+    ("hypergeometric", _DRIFT,
+     "83b8bb337e66396252ba7d002cf63e43eb2243a3b05c000cc2ff38929d147206"),
+    ("oscillator", _FORMS,
+     "505e18947cc1dadc273d07f7ee81c9910a1a4d5091b9e2907fa8b0a88c20c76f"),
+    ("oscillator", _DRIFT,
+     "8d9559362f1120289581f97f1e72c1f84a736d7434339c01358ddd0a6a741e68"),
+    ("duffing", _FORMS,
+     "4f97cf7579b134c26c92fed150488b974565e59e965b459922cc8bf7c710ef05"),
+    ("duffing", _DRIFT,
+     "e423002b99bf8cce209ebc5917f5b3dbf8529e33fe84eefb40b8016b816b18c6"),
+    (None, ["--precision", "17", "verify", "dynsys", "--depth", "6"],
+     "903916156f91600cac1de2ca765561faac36e9d2b7228c9af5ee313a605e57c9"),
+    (None, ["--precision", "17", "verify", "dynsys", "--depth", "8"],
+     "e57031c9c11047f2717243139292948a2957fb21206d3e6c43f8cd129dba4b33"),
+]
+
+
+@pytest.mark.parametrize("builtin, argv, digest", FLOAT_OUTPUT,
+                         ids=["%s %s" % (b or "", " ".join(argv))
+                              for b, argv, _ in FLOAT_OUTPUT])
+def test_float_output_is_pinned(tmp_path, capsys, builtin, argv, digest):
+    if builtin is not None:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(dict(_BUILTIN_SYSTEMS[builtin],
+                                        builtin=builtin)))
+        argv = ["--format", "json", "--precision", "17", "simulate",
+                "--system", str(path)] + argv
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_dynsys_catches_a_wrong_representation(capsys, monkeypatch):
+    # the direct sum with the single-word series: <S|x0 x1 x1> is off by 1
+    # and every other coefficient is kept
+    from ncgen import rational
+    rep_hypergeometric = rational.rep_hypergeometric
+
+    def patched(*args, **kwargs):
+        a = rep_hypergeometric(*args, **kwargs)
+        b = rational.rep_single_word((0, 1, 1))
+        mu = {x: [list(row) + [0] * b.n for row in a.mu[x]]
+              + [[0] * a.n + list(row) for row in b.mu[x]] for x in a.mu}
+        return rational.LinearRepresentation(a.alphabet, a.lam + b.lam, mu,
+                                             a.eta + b.eta)
+
+    monkeypatch.setattr(rational, "rep_hypergeometric", patched)
+    code, out = run_json(capsys, "verify", "dynsys", "--depth", "4")
+    assert code == 1
+    assert out["rep_vs_fields_exact"] is False and out["pass"] is False

@@ -28,7 +28,7 @@ from ncgen.dynsys import (
 )
 from ncgen.ncpoly import is_grouplike, words_up_to
 from ncgen.rational import rep_hypergeometric
-from ncgen.renorm import chen_between
+from ncgen.renorm import chen_between, l_series
 from ncgen.words import X
 
 F = Fraction
@@ -221,3 +221,22 @@ def test_system_json_roundtrip(tmp_path):
     p3.write_text(json.dumps({"builtin": "nope", "params": {}, "q0": []}))
     with pytest.raises(ValueError):
         load_system(str(p3))
+
+
+# every use of the forms dz/z and dz/(1-z) refuses a point outside (0, 1)
+_FORMS_CALLS = {
+    "chen_ode": lambda z: chen_ode(z, 0.4, 3),
+    "iterated_integral": lambda z: iterated_integral((0, 1), z, 0.4),
+    "ode_reference_forms": lambda z: ode_reference_forms(hyp_system(0.2),
+                                                         z, 0.4),
+    "l_series": lambda z: l_series(z, 3),
+    "chen_between": lambda z: chen_between(0.4, z, 3),
+}
+
+
+@pytest.mark.parametrize("z", [0.0, 1.0, -0.1, -0.5, 1.5])
+@pytest.mark.parametrize("name", sorted(_FORMS_CALLS))
+def test_forms_need_a_segment_inside_the_unit_interval(name, z):
+    with pytest.raises(ValueError,
+                       match=r"^segment must stay inside \(0, 1\)$"):
+        _FORMS_CALLS[name](z)
