@@ -367,7 +367,8 @@ def cmd_simulate(args):
     )
     try:
         system = load_system(args.system)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise CLIError("cannot load system: %s" % exc) from None
     depth = args.depth
     if args.z is not None:
@@ -378,9 +379,7 @@ def cmd_simulate(args):
             chen = chen_ode(z0, args.z, depth)
         except ValueError as exc:
             raise CLIError("z0 = %s, z = %s: %s" % (z0, args.z, exc)) from None
-        y = fliess_output(system, chen, depth)
-        payload = {"mode": "forms", "z0": z0, "z": args.z,
-                   "depth": depth, "output": y}
+        payload = {"mode": "forms", "z0": z0, "z": args.z}
     elif args.T is not None:
         try:
             controls = tuple(_FINITE(c) for c in args.controls.split(","))
@@ -389,12 +388,21 @@ def cmd_simulate(args):
                            "comma-separated" % args.controls) from None
         if len(controls) != 2:  # one per field: x0 and x1
             raise CLIError("need 2 controls, got %d" % len(controls))
-        chen = chen_drift(args.T, depth, controls)
-        y = fliess_output(system, chen, depth)
-        payload = {"mode": "drift", "T": args.T, "controls": list(controls),
-                   "depth": depth, "output": y}
+        try:
+            chen = chen_drift(args.T, depth, controls)
+        except OverflowError:
+            raise CLIError("T = %s: T^%d overflows a float"
+                           % (args.T, depth)) from None
+        payload = {"mode": "drift", "T": args.T, "controls": list(controls)}
     else:
         raise CLIError("simulate needs --z or --T")
+    try:
+        y = fliess_output(system, chen, depth)
+    except OverflowError:  # a Fliess coefficient beyond the float range
+        y = math.inf
+    if not math.isfinite(y):
+        raise CLIError("the output overflows a float")
+    payload.update(depth=depth, output=y)
     _emit(args, payload, lambda p: ["output = %s" % p["output"]])
     return 0
 

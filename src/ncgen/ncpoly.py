@@ -1,10 +1,13 @@
 """Noncommutative series over Q or floats: concatenation, shuffle, stuffle.
 
 An NCPoly is a finite map word -> coefficient (zeros never stored),
-tagged with the alphabet of its words.  Coefficients are exact (ints and
-Fractions are stored as Fractions) or floats, as given, and every
-operation keeps the kind.  An optional depth truncates: words of degree
-(length for X, weight for Y/Y0) above it are dropped, also in products.
+tagged with the alphabet of its words.  Coefficients are Fractions (ints
+are stored as Fractions) or floats, as constructed, and every operation
+keeps the kind.  Arithmetic also carries ring elements that support
++ - * and bool, such as polylog.RatZ (polylog.FElem is an NCPoly over
+RatZ; +, -, scale, truncate and map_words keep its class).  An optional
+depth truncates: words of degree (length for X, weight for Y/Y0) above
+it are dropped, also in products.
 Shuffle interleaves words; stuffle additionally contracts the two
 leading letters y_i, y_j into y_{i+j} (quasi-shuffle):
 
@@ -23,8 +26,8 @@ blocks and the Hankel rank.
 
 The products, peel and linear combinations (_linear) run on integer
 numerators over one common denominator per operand (_numerators) and
-build one Fraction per output word (_values); float coefficients go
-through the same loops as they are.
+build one Fraction per output word (_values); float and ring coefficients
+(no denominator) take the values path through the same loops.
 
 Cache: the word products live in `_quasi_shuffle`, a `functools.cache`
 keyed by (u, v, quasi); `_quasi_shuffle.cache_info()` reports hits,
@@ -94,7 +97,8 @@ def _min_depth(a, b):
 
 
 class NCPoly:
-    """Noncommutative series: finite map word tuple -> Fraction or float.
+    """Noncommutative series: finite map word tuple -> Fraction or float
+    (or, from arithmetic, a ring element such as RatZ).
 
     depth=None: a polynomial, untruncated.  depth=d: a series known up to
     degree d; words above d are dropped and products truncated there.
@@ -167,22 +171,22 @@ class NCPoly:
             prev = t.get(w)
             t[w] = c if prev is None else prev + c
         if self.depth == other.depth:
-            return NCPoly._new(self.alphabet, t, self.depth)
+            return self._new(self.alphabet, t, self.depth)
         depth = _min_depth(self.depth, other.depth)
-        return NCPoly._new(self.alphabet, t, None).truncate(depth)
+        return self._new(self.alphabet, t, None).truncate(depth)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return NCPoly._new(self.alphabet,
-                           {w: -c for w, c in self.terms.items()}, self.depth)
+        return self._new(self.alphabet,
+                         {w: -c for w, c in self.terms.items()}, self.depth)
 
     def scale(self, c):
         """c P; a float c turns exact coefficients into floats."""
-        return NCPoly._new(self.alphabet,
-                           {w: c * cw for w, cw in self.terms.items()},
-                           self.depth)
+        return self._new(self.alphabet,
+                         {w: c * cw for w, cw in self.terms.items()},
+                         self.depth)
 
     __rmul__ = scale
 
@@ -203,9 +207,9 @@ class NCPoly:
         if depth == self.depth:
             return self
         deg = _degree(self.alphabet)
-        return NCPoly._new(self.alphabet,
-                           {w: c for w, c in self.terms.items()
-                            if deg(w) <= depth}, depth)
+        return self._new(self.alphabet,
+                         {w: c for w, c in self.terms.items()
+                          if deg(w) <= depth}, depth)
 
     def inverse(self):
         """Inverse for the concatenation product, up to the depth."""
@@ -235,7 +239,7 @@ class NCPoly:
                 continue
             prev = t.get(img)
             t[img] = c if prev is None else prev + c
-        return NCPoly._new(alphabet or self.alphabet, t, self.depth)
+        return self._new(alphabet or self.alphabet, t, self.depth)
 
     def pi_y(self):
         """Code an X-series over Y; words ending in x0 are annihilated."""
@@ -251,7 +255,7 @@ class NCPoly:
         return sorted(self.terms)
 
     def __repr__(self):
-        return "NCPoly(%s)" % poly_to_str(self)
+        return "%s(%s)" % (type(self).__name__, poly_to_str(self))
 
     # -- serialization ------------------------------------------------
     def to_json_dict(self):

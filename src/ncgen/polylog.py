@@ -15,9 +15,9 @@ QPoly is the one univariate polynomial type over Q: H^-_w is one in N,
 Li^-_w one in t = 1/(1-z) (negpolylog), and so are the numerators below.
 
 The second half is the symbolic operator algebra on finite combinations
-sum c_w(z) Li_w(z), with coefficients c_w in Q[z, 1/z, 1/(1-z)]
-(RatZ below, kept canonical as N(z) / (z^a (1-z)^b), N a QPoly in z with
-the factors of z and 1-z cancelled out of it).  Actions:
+sum c_w(z) Li_w(z): FElem, an NCPoly over X whose coefficients c_w lie in
+Q[z, 1/z, 1/(1-z)] (RatZ below, kept canonical as N(z) / (z^a (1-z)^b),
+N a QPoly in z with the factors of z and 1-z cancelled out of it).  Actions:
 
     dz Li_{x0 w} = Li_w / z          dz Li_{x1 w} = Li_w / (1-z)
     theta0 = z dz,   theta1 = (1-z) dz   (derivations: product rule
@@ -319,6 +319,9 @@ class RatZ:
     def is_zero(self):
         return self.num.is_zero()
 
+    def __bool__(self):
+        return not self.num.is_zero()
+
     def __eq__(self, other):
         return (isinstance(other, RatZ) and self.num == other.num
                 and self.a == other.a and self.b == other.b)
@@ -363,74 +366,37 @@ class RatZ:
 _ONE = RatZ.const(1)
 
 
-class FElem:
-    """Finite combination sum_w c_w(z) Li_w(z), c_w in Q[z,1/z,1/(1-z)]."""
+class FElem(NCPoly):
+    """sum_w c_w(z) Li_w(z): an NCPoly over X with RatZ coefficients.
 
-    __slots__ = ("terms",)
+    The container (sums, negation, scaling, equality, zero-dropping) is
+    NCPoly's; FElem adds the operators.  Build one with li and sums of li.
+    """
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                if not isinstance(c, RatZ):
-                    c = RatZ.const(c)
-                if not c.is_zero():
-                    t[tuple(w)] = c
-        self.terms = t
+    __slots__ = ()
 
     @classmethod
-    def li(cls, w, coef=None):
-        return cls({tuple(w): coef if coef is not None else _ONE})
-
-    def __eq__(self, other):
-        return isinstance(other, FElem) and self.terms == other.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w)
-            t[w] = c if s is None else s + c
-        return FElem(t)
-
-    def __sub__(self, other):
-        return self + other.scale(RatZ.const(-1))
-
-    def scale(self, c):
-        if not isinstance(c, RatZ):
-            c = RatZ.const(c)
-        return FElem({w: cw * c for w, cw in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
+    def li(cls, w, coef=1):
+        return cls._new(X, {tuple(w): _ONE * coef}, None)
 
     def dz(self):
-        return self._theta(_ONE)
+        """The product rule against each coefficient, plus
+        dz Li_{x0 w} = Li_w / z and dz Li_{x1 w} = Li_w / (1-z)."""
+        out = self._new(X, {w: c.derivative() for w, c in self.terms.items()},
+                        None)
+        for a, factor in ((0, RatZ.z_pow(-1)), (1, RatZ.uinv_pow(1))):
+            tails = self.map_words(lambda w: w[1:] if w[:1] == (a,) else None)
+            out = out + tails.scale(factor)
+        return out
 
     def theta0(self):
-        return self._theta(RatZ.z_pow(1))
+        return self.dz().scale(RatZ.z_pow(1))
 
     def theta1(self):
-        return self._theta(RatZ(_U))
-
-    def _theta(self, mult):
-        out = {}
-
-        def acc(w, c):
-            if c.is_zero():
-                return
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-
-        for w, c in self.terms.items():
-            acc(w, c.derivative() * mult)
-            if w:
-                head, tail = w[0], w[1:]
-                factor = mult * (RatZ.z_pow(-1) if head == 0 else RatZ.uinv_pow(1))
-                acc(tail, c * factor)
-        return FElem(out)
+        return self.dz().scale(RatZ(_U))
 
     def iota(self, letter):
-        return FElem({(letter,) + w: c for w, c in self.terms.items()})
+        return self.map_words(lambda w: (letter,) + w)
 
     def eval(self, z):
         """Numeric value, each Li summed to auto_terms(z) terms; words must
@@ -448,6 +414,3 @@ class FElem:
                 raise ValueError("cannot evaluate Li for word %r" % (w,))
             total += float(c.eval(z)) * li
         return total
-
-    def __repr__(self):
-        return "FElem(%r)" % (self.terms,)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +254,9 @@ def test_bad_controls(tmp_path, capsys):
 
 
 _NUMBERS = ["-3", "0", "1", "3", "2.5", "abc"]
+# system files with a 1/0, a number beyond the float range, or neither
+_SYSTEMS = sorted(str(p) for p in
+                  (pathlib.Path(__file__).parent / "systems").glob("*.json"))
 # (positional choices, {option: values}); each option is drawn or left out
 _FUZZ_COMMANDS = {
     "eval": (["li", "hneg"],
@@ -266,6 +270,10 @@ _FUZZ_COMMANDS = {
     "table": (["dual-bases", "pi-sigma", "cminus", "eulerian"],
               {"--alphabet": ["X", "Y"], "--max-len": _NUMBERS,
                "--max-weight": _NUMBERS, "--max-n": _NUMBERS}),
+    "simulate": ([], {"--system": _SYSTEMS, "--z": ["0.3", "1.5"],
+                      "--T": ["0.1", "1e200"],
+                      "--controls": ["1,0.5", "1e200,1e200", "1"],
+                      "--depth": ["2", "8"]}),
 }
 
 
@@ -413,6 +421,14 @@ def test_precision_flag(capsys):
     ({"builtin": "hypergeometric",
       "params": {"t0": "1/4", "t1": "1/4", "t2": "1/3"}, "q0": ["1"]},
      ["--z", "0.4"]),
+    ({"builtin": "oscillator", "params": {"k1": "1/0", "k2": "2"},
+      "q0": ["1"]}, ["--T", "0.1"]),
+    ({"builtin": "oscillator", "params": {"k1": "1", "k2": "2"},
+      "q0": ["1/0"]}, ["--z", "0.4"]),
+    ({"m": 1, "fields": [[[{"exps": [1], "coef": "1/0"}]],
+                         [[{"exps": [0], "coef": "1"}]]],
+      "observation": [{"exps": [1], "coef": "1"}], "q0": ["1"]},
+     ["--T", "0.1"]),
 ])
 def test_simulate_system_of_wrong_shape_exits_2(tmp_path, capsys, system, argv):
     path = tmp_path / "system.json"
@@ -455,6 +471,34 @@ def test_simulate_three_fields_exits_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot load system: want two fields")
     assert err.count("\n") == 1
+
+
+_HYPERGEOMETRIC = {"builtin": "hypergeometric",
+                   "params": {"t0": "1/4", "t1": "1/4", "t2": "1/3"},
+                   "q0": ["1", "0"]}
+
+
+@pytest.mark.parametrize("system, argv, message", [
+    (dict(_OSCILLATOR, q0=["1e400"]), ["--T", "0.1"],
+     "the output overflows a float"),
+    (dict(_OSCILLATOR, q0=["1e400"]), ["--z", "0.3"],
+     "the output overflows a float"),
+    (_HYPERGEOMETRIC, ["--T", "1e200", "--depth", "2"],
+     "T = 1e+200: T^2 overflows a float"),
+    (_HYPERGEOMETRIC, ["--T", "0.1", "--controls", "1e200,1e200"],
+     "the output overflows a float"),
+    (_HYPERGEOMETRIC, ["--T", "0.1", "--controls", "1e200,1e200",
+                       "--depth", "2"], "the output overflows a float"),
+])
+def test_simulate_float_overflow_exits_2(tmp_path, capsys, system, argv,
+                                         message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    for fmt in ("text", "json"):  # never a NaN or Infinity on stdout
+        code, out, err = run(capsys, "--format", fmt, "simulate",
+                             "--system", str(path), *argv)
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("controls", ["1", "1,0.5,2", "1,0.5,7", "1,0,0,0"])

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from ncgen.ncpoly import is_grouplike, stuffle_words, words_up_to
+from ncgen.ncpoly import NCPoly, is_grouplike, stuffle_words, words_up_to
 from ncgen.negpolylog import h_neg, h_neg_value
 from ncgen.polylog import (
     FElem, QPoly, RatZ, harmonic, harmonic_array, harmonic_float, harmonic_series,
@@ -303,6 +303,31 @@ def test_theta_sum_is_dz():
     # theta0 + theta1 = (z + 1 - z) dz = dz on any element
     f = FElem.li((0, 1), RatZ.lam()) + FElem.li((1,), RatZ.z_pow(2))
     assert f.theta0() + f.theta1() == f.dz()
+
+
+def test_felem_is_an_ncpoly_over_ratz():
+    assert isinstance(FElem.li((0, 1)), NCPoly)
+    f = FElem.li((0, 1), RatZ.lam()) + FElem.li((1,), Fraction(2))
+    g = FElem.li((1, 1))
+    assert not (f - f)
+    for h in (f + g, f - g, f.scale(RatZ.lam()), f.iota(1)):
+        assert type(h) is FElem
+
+
+_felems = st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=3),
+                             _ratz_parts), max_size=3).map(
+    lambda ts: sum((FElem.li(w, RatZ(*p)) for w, p in ts), FElem.zero()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_felems, _felems, _ratz_parts, _fractions)
+def test_felem_operators_are_linear_and_dz_a_derivation(f, g, r_parts, c):
+    for op in (FElem.dz, FElem.theta0, FElem.theta1):
+        assert op(f + g) == op(f) + op(g)
+        assert op(f.scale(c)) == op(f).scale(c)
+    # Leibniz against a coefficient: dz(r f) = r dz(f) + r' f
+    r = RatZ(*r_parts)
+    assert f.scale(r).dz() == f.dz().scale(r) + f.scale(r.derivative())
 
 
 def test_eval_consistency():
