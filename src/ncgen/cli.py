@@ -180,18 +180,21 @@ def cmd_table(args):
 
 def verify_duality(args):
     from ncgen import hopf
-    from ncgen.ncpoly import words_up_to
+    from ncgen.ncpoly import _linear, words_up_to
     depth = args.depth or 4
     alphabet = args.alphabet
     ws = [w for w in words_up_to(alphabet, depth) if w]
-    ps = [hopf.pbw_p(v) if alphabet == X else hopf.pbw_pi(v) for v in ws]
+    pbw, dual = ((hopf.pbw_p, hopf.dual_s) if alphabet == X
+                 else (hopf.pbw_pi, hopf.dual_sigma))
+    cols = {}  # the P basis transposed: cols[w] = {v: <P_v | w>}
+    for v in ws:
+        for w, c in pbw(v).terms.items():
+            cols.setdefault(w, {})[v] = c
     worst = 0
-    for u in ws:
-        su = (hopf.dual_s(u) if alphabet == X else hopf.dual_sigma(u)).terms
-        for v, pv in zip(ws, ps):
-            got = sum((c * su[w] for w, c in pv.terms.items() if w in su),
-                      Fraction(0))
-            worst = max(worst, abs(got - (1 if u == v else 0)))
+    for u in ws:  # row u of the pairing: <S_u | P_v> for each v, 0 if missing
+        row = _linear(dual(u).terms, lambda w: cols.get(w, {}))
+        row[u] = row.get(u, 0) - 1
+        worst = max(worst, *map(abs, row.values()))
     return {"identity": "dual-bases-pairing", "alphabet": alphabet,
             "depth": depth, "max_abs_err": float(worst), "pass": worst == 0}
 

@@ -31,8 +31,9 @@ from fractions import Fraction
 from math import factorial
 
 from .ncpoly import (
-    NCPoly, _linear, _word_coproduct, conc, peel, shuffle, shuffle_words,
-    shuffle_power, stuffle, stuffle_words, stuffle_power, words_up_to,
+    NCPoly, _linear, _numerators, _values, _word_coproduct, conc, peel,
+    shuffle, shuffle_words, shuffle_power, stuffle, stuffle_words,
+    stuffle_power, words_up_to,
 )
 from .words import (
     X, Y, is_lyndon, lyndon_decompose, lyndon_words, standard_factorization,
@@ -41,7 +42,14 @@ from .words import (
 
 
 def _bracket(a, b):
-    return conc(a, b) - conc(b, a)
+    """ab - ba in one pass over the pairs of words, on numerators."""
+    (da, As), (db, Bs) = _numerators(a.terms, b.terms)
+    t = {}
+    for u, cu in As:
+        for v, cv in Bs:
+            t[u + v] = t.get(u + v, 0) + cu * cv
+            t[v + u] = t.get(v + u, 0) - cu * cv
+    return NCPoly._new(a.alphabet, _values(t, da and da * db), None)
 
 
 @functools.cache
@@ -193,14 +201,20 @@ def recompose_from_basis(coords, kind, alphabet=None):
 # Schuetzenberger factorization of the diagonal series, truncated
 
 def _tensor_mul(A, B, first_product, depth, degree):
-    """(u1 (x) v1)(u2 (x) v2) = (u1 * u2) (x) v1 v2, bilinear, cut at depth."""
-    def image(pair):
-        (u1, v1), (u2, v2) = pair
-        return {(u, v1 + v2): m for u, m in first_product(u1, u2).items()}
-
-    return _linear({(a, b): ca * cb for a, ca in A.items()
-                    for b, cb in B.items()
-                    if degree(a[0]) + degree(b[0]) <= depth}, image)
+    """(u1 (x) v1)(u2 (x) v2) = (u1 * u2) (x) v1 v2, bilinear, cut at depth;
+    on numerators with the degrees of B's first components taken once."""
+    (da, As), (db, Bs) = _numerators(A, B)
+    Bs = [(u2, v2, c2, degree(u2)) for (u2, v2), c2 in Bs]
+    t = {}
+    for (u1, v1), c1 in As:
+        room = depth - degree(u1)
+        for u2, v2, c2, d2 in Bs:
+            if d2 > room:
+                continue
+            c, v = c1 * c2, v1 + v2
+            for u, m in first_product(u1, u2).items():
+                t[(u, v)] = t.get((u, v), 0) + c * m
+    return {k: c for k, c in _values(t, da and da * db).items() if c}
 
 
 def diagonal_factorization_check(alphabet, depth):
@@ -215,27 +229,21 @@ def diagonal_factorization_check(alphabet, depth):
         dual, pbw, first_product = dual_sigma, pbw_pi, stuffle_words
         degree = sum
 
-    lhs = _linear(dict.fromkeys(words_up_to(alphabet, depth), 1), lambda w: {
-        (u, v): cu * cv for u, cu in dual(w).terms.items()
-        for v, cv in pbw(w).terms.items()})
+    def tensor(coords):  # sum <S_w | u> u (x) P_w over the keys (w, u)
+        return _linear(coords, lambda wu: {
+            (wu[1], v): c for v, c in pbw(wu[0]).terms.items()})
 
+    lhs = tensor({(w, u): c for w in words_up_to(alphabet, depth)
+                  for u, c in dual(w).terms.items()})
     rhs = {((), ()): Fraction(1)}
     for l in reversed(lynd):  # decreasing Lyndon order, left to right
-        base = {}
-        for u, cu in dual(l).terms.items():
-            for v, cv in pbw(l).terms.items():
-                base[(u, v)] = cu * cv
-        factor = {((), ()): Fraction(1)}
-        power = {((), ()): Fraction(1)}
-        k = 1
-        while k * degree(l) <= depth:
-            power = _tensor_mul(power, base, first_product, depth, degree)
-            if not power:
-                break
-            for key, c in power.items():
-                c = c / factorial(k)
-                factor[key] = factor.get(key, Fraction(0)) + c
-            k += 1
+        base = tensor({(l, u): c for u, c in dual(l).terms.items()})
+        powers = [{((), ()): 1}]  # exp = sum_k base^k / k!, in one pass
+        while len(powers) * degree(l) <= depth and powers[-1]:
+            powers.append(_tensor_mul(powers[-1], base, first_product, depth,
+                                      degree))
+        factor = _linear({k: Fraction(1, factorial(k))
+                          for k in range(len(powers))}, powers.__getitem__)
         rhs = _tensor_mul(rhs, factor, first_product, depth, degree)
 
     return lhs == rhs

@@ -27,7 +27,10 @@ blocks and the Hankel rank.
 The products, peel and linear combinations (_linear) run on integer
 numerators over one common denominator per operand (_numerators) and
 build one Fraction per output word (_values); float and ring coefficients
-(no denominator) take the values path through the same loops.
+(no denominator) take the values path through the same loops.  The
+identity checks use the same kernels: the duality pairing (cli), the
+tensor products and the bracket (hopf), the Taylor shift (polylog.QPoly,
+via _over_lcm) and the Hankel rows (rational).
 
 Cache: the word products live in `_quasi_shuffle`, a `functools.cache`
 keyed by (u, v, quasi); `_quasi_shuffle.cache_info()` reports hits,
@@ -111,12 +114,17 @@ class NCPoly:
         self.depth = depth
         t = {}
         if terms:
-            deg = _degree(alphabet)
+            deg, coef = _degree(alphabet), self._coef
             for w, c in terms.items():
-                c = float(c) if isinstance(c, float) else Fraction(c)
+                c = coef(c)
                 if c and (depth is None or deg(w) <= depth):
                     t[w] = c
         self.terms = t
+
+    @staticmethod
+    def _coef(c):
+        """A constructor's coefficient in its stored kind."""
+        return float(c) if isinstance(c, float) else Fraction(c)
 
     @classmethod
     def _new(cls, alphabet, terms, depth):
@@ -277,6 +285,13 @@ class NCPoly:
 def _unit_series(P):
     """The series 1 with the alphabet, depth and coefficient kind of P."""
     return NCPoly._new(P.alphabet, {(): P._unit()}, P.depth)
+
+
+def _over_lcm(values):
+    """(D, [n]): the exact values as integer numerators n over D, the lcm
+    of their denominators."""
+    D = math.lcm(*{c.denominator for c in values})
+    return D, [c.numerator * (D // c.denominator) for c in values]
 
 
 def _numerators(*maps):

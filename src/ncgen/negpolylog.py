@@ -24,9 +24,10 @@ only differs from H^- when the last shifted exponent is 0.
 Every polynomial here is a polylog.QPoly (the one univariate type), in
 t, N or z; theta0 is a QPoly product and the power tables use **.
 
-Caches: `_li_neg` and `_h_neg` are `functools.cache`s keyed by the word
-(`cache_info()` reports hits, misses and size); li_neg and h_neg call
-them with tuple(w).  The Bernoulli numbers are a table grown in place.
+Caches: `_li_neg`, `_h_neg` and `_faulhaber_B_poly` are `functools.cache`s
+keyed by the word (`cache_info()` reports hits, misses and size); li_neg,
+h_neg and faulhaber_B_poly call them with tuple(w).  The Bernoulli
+numbers are a table grown in place.
 """
 
 import functools
@@ -171,9 +172,8 @@ def li_neg_numerator_z(m):
 # ---------------------------------------------------------------------------
 # multi-index Bernoulli polynomials and the extended Faulhaber identities
 
-def faulhaber_B_poly(w):
-    """B_w(z) for |w| <= 2 (closed forms); raises for longer words."""
-    w = tuple(w)
+@functools.cache
+def _faulhaber_B_poly(w):
     if not w:
         return QPoly.const(1, "z")
     if len(w) == 1:
@@ -187,6 +187,11 @@ def faulhaber_B_poly(w):
             total = total + c * bernoulli_poly(m)
         return factorial(n1) * factorial(n2) * total
     raise ValueError("closed-form B_w implemented for |w| <= 2 only")
+
+
+def faulhaber_B_poly(w):
+    """B_w(z) for |w| <= 2 (closed forms); raises for longer words."""
+    return _faulhaber_B_poly(tuple(w))
 
 
 def faulhaber_B(w, z):

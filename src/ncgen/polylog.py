@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from ncgen.ncpoly import NCPoly
+from ncgen.ncpoly import NCPoly, _over_lcm
 from ncgen.words import X, Y, pi_y_word
 
 # exponent word e -> its integer column N_e(0), N_e(1), ... and n -> lcm(1..n):
@@ -188,7 +188,7 @@ class QPoly:
     __slots__ = ("coefs", "var")
 
     def __init__(self, coefs, var="N"):
-        coefs = [Fraction(c) for c in coefs]
+        coefs = [c if type(c) is Fraction else Fraction(c) for c in coefs]
         while coefs and not coefs[-1]:
             coefs.pop()
         self.coefs = tuple(coefs)
@@ -228,7 +228,8 @@ class QPoly:
 
     def __mul__(self, other):
         if not isinstance(other, QPoly):
-            return QPoly([Fraction(other) * c for c in self.coefs], self.var)
+            other = Fraction(other)
+            return QPoly([other * c for c in self.coefs], self.var)
         out = [_ZERO] * (len(self.coefs) + len(other.coefs) - 1 or 1)
         for i, a in enumerate(self.coefs):
             if a:
@@ -252,14 +253,15 @@ class QPoly:
         return val
 
     def shift(self, c):
-        """p(x + c)."""
-        c = Fraction(c)
-        out = [_ZERO] * len(self.coefs)
-        for i, a in enumerate(self.coefs):
-            if a:
-                for k in range(i + 1):
-                    out[k] += a * math.comb(i, k) * c ** (i - k)
-        return QPoly(out, self.var)
+        """p(x + c): sum_i a_i C(i, m) c^(i-m) at x^m, summed on integers
+        over D q^n (a_i = A_i / D, c = p / q, n the degree)."""
+        c, n = Fraction(c), len(self.coefs) - 1
+        p, q = c.numerator, c.denominator
+        D, A = _over_lcm(self.coefs)
+        cs = [p ** j * q ** (n - j) for j in range(n + 1)]  # c^j over q^n
+        return QPoly([Fraction(sum(A[i] * math.comb(i, m) * cs[i - m]
+                                   for i in range(m, n + 1)), D * q ** n)
+                      for m in range(n + 1)], self.var)
 
     def derivative(self):
         return QPoly([i * c for i, c in enumerate(self.coefs)][1:], self.var)
@@ -370,10 +372,13 @@ class FElem(NCPoly):
     """sum_w c_w(z) Li_w(z): an NCPoly over X with RatZ coefficients.
 
     The container (sums, negation, scaling, equality, zero-dropping) is
-    NCPoly's; FElem adds the operators.  Build one with li and sums of li.
+    NCPoly's; FElem adds the operators.  Build one with li and sums of li;
+    the NCPoly constructors store numbers as constant RatZ.
     """
 
     __slots__ = ()
+
+    _coef = staticmethod(_ONE.__mul__)  # numbers become constant RatZ
 
     @classmethod
     def li(cls, w, coef=1):

@@ -9,8 +9,11 @@ rows found so far; the rank is the number of pivots.
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
-from ncgen.ncpoly import NCPoly, coproduct_shuffle, peel, words_up_to
+from ncgen.ncpoly import (
+    NCPoly, _over_lcm, coproduct_shuffle, peel, words_up_to,
+)
 from ncgen.words import X, str_to_word, word_to_str
 
 _ZERO = Fraction(0)
@@ -65,12 +68,21 @@ class LinearRepresentation:
 
     def _coefficients(self, words):
         """Map w -> <S|w> on prefix-closed words listed prefixes first;
-        one product per word: row(w) = row(w[:-1]) mu(last letter)."""
-        rows = {(): self.lam}
+        one product per word: row(w) = row(w[:-1]) mu(last letter), on
+        integer rows over the lcms of lambda and of each mu(letter) (one
+        Fraction per word)."""
+        cols = {}
+        for a, mat in self.mu.items():
+            D, flat = _over_lcm(sum(mat, ()))
+            cols[a] = D, [flat[j::self.n] for j in range(self.n)]
+        rows = {(): _over_lcm(self.lam)}
         for w in words:
             if w not in rows:
-                rows[w] = _vec_mat(rows[w[:-1]], self.mu[w[-1]])
-        return {w: _dot(row, self.eta) for w, row in rows.items()}
+                (D, row), (M, mat) = rows[w[:-1]], cols[w[-1]]
+                rows[w] = D * M, [sum(map(mul, row, col)) for col in mat]
+        E, eta = _over_lcm(self.eta)
+        return {w: Fraction(sum(map(mul, row, eta)), D * E)
+                for w, (D, row) in rows.items()}
 
     def truncated_series(self, depth):
         return NCPoly(self.alphabet,
@@ -171,15 +183,14 @@ def hankel_rank(coefficient, alphabet=X, depth=3):
     so far, each scaled to lead with 1; a row with something left adds a
     pivot, and the rank is the number of pivots.
     """
-    if isinstance(coefficient, LinearRepresentation):
-        alphabet = coefficient.alphabet
-    ws = words_up_to(alphabet, depth)
-    if isinstance(coefficient, LinearRepresentation):
-        coefficient = coefficient._coefficients(
-            u + v for u in ws for v in ws).get
+    rep = isinstance(coefficient, LinearRepresentation)
+    ws = words_up_to(coefficient.alphabet if rep else alphabet, depth)
+    uvs = [u + v for u in ws for v in ws]
+    values = (coefficient._coefficients(uvs) if rep
+              else {w: Fraction(coefficient(w)) for w in uvs})
     pivots = {}
     for u in ws:
-        row = {j: Fraction(coefficient(u + v)) for j, v in enumerate(ws)}
+        row = {j: values[u + v] for j, v in enumerate(ws)}
         _, rest = peel(row, pivots.get)
         if rest:
             lead = min(rest)

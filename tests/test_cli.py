@@ -558,6 +558,26 @@ def test_duality_catches_a_stray_term(capsys, monkeypatch):
     assert out["pass"] is False and out["max_abs_err"] > 0
 
 
+@pytest.mark.parametrize("alphabet, dual, u", [
+    ("X", "dual_s", (0, 1)), ("Y", "dual_sigma", (1, 2))])
+def test_duality_catches_a_lost_diagonal_term(capsys, monkeypatch,
+                                              alphabet, dual, u):
+    # S_u without its word u pairs to 0 with P_u: the diagonal entry is
+    # missing from the sparse row, and still counted
+    from ncgen import hopf
+    from ncgen.ncpoly import NCPoly
+    original = getattr(hopf, dual)
+
+    def patched(w):
+        s = original(w)
+        return s - NCPoly.word(u, s.alphabet, s.coeff(u)) if w == u else s
+
+    monkeypatch.setattr(hopf, dual, patched)
+    code, out = run_json(capsys, "verify", "duality", "--alphabet", alphabet,
+                         "--depth", "3")
+    assert code == 1
+    assert out["pass"] is False and out["max_abs_err"] == 1.0
+
 # sha256 of the stdout of exact commands; a change in any printed
 # coefficient, order or spacing shows here
 EXACT_OUTPUT = [

@@ -261,3 +261,21 @@ def test_diagonal_factorization_x():
 
 def test_diagonal_factorization_y():
     assert diagonal_factorization_check(Y, 4)
+
+
+def test_diagonal_factorization_catches_a_stray_term(monkeypatch):
+    # the check is not vacuous: a stray word in S_{x0} breaks it over X
+    from ncgen import hopf
+    assert diagonal_factorization_check(X, 4)
+    monkeypatch.setattr(hopf, "dual_s", lambda w: dual_s(w) + W((0, 1))
+                        if tuple(w) == (0,) else dual_s(w))
+    assert diagonal_factorization_check(X, 4) is False
+
+
+def test_diagonal_factorization_catches_a_scaled_dual(monkeypatch):
+    # over Y: Sigma_{y1 y2} scaled by 2
+    from ncgen import hopf
+    assert diagonal_factorization_check(Y, 4)
+    monkeypatch.setattr(hopf, "dual_sigma", lambda w: dual_sigma(w).scale(2)
+                        if tuple(w) == (1, 2) else dual_sigma(w))
+    assert diagonal_factorization_check(Y, 4) is False

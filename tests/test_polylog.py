@@ -259,6 +259,20 @@ def test_qpoly_power_is_the_repeated_product(coefs, k, x):
     assert (p ** k).eval(x) == p.eval(x) ** k
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_fractions, max_size=6),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+           lambda c: c.denominator != 1))
+def test_qpoly_shift_is_the_composition(coefs, c):
+    # p(x + c) against sum a_i (x + c)^i in QPoly arithmetic; c not an
+    # integer, negative c included
+    p = QPoly(coefs, "N")
+    want = QPoly([], "N")
+    for i, a in enumerate(coefs):
+        want = want + a * QPoly([c, 1], "N") ** i
+    assert p.shift(c) == want
+
+
 # -- operator algebra --------------------------------------------------
 
 def test_theta_basic_rules():
@@ -304,6 +318,15 @@ def test_theta_sum_is_dz():
     f = FElem.li((0, 1), RatZ.lam()) + FElem.li((1,), RatZ.z_pow(2))
     assert f.theta0() + f.theta1() == f.dz()
 
+
+def test_felem_constructors_store_ratz():
+    # word, one and the plain constructor turn numbers into constant RatZ
+    assert FElem.word((0, 1)).dz() == FElem.li((0, 1)).dz()
+    assert FElem.word((1,), coef=Fraction(2, 3)) == FElem.li((1,), Fraction(2, 3))
+    assert FElem.one().theta0() == FElem.zero()
+    f = FElem(terms={(0, 1): 3, (1,): RatZ.lam()})
+    assert f == FElem.li((0, 1), 3) + FElem.li((1,), RatZ.lam())
+    assert f.dz() == f.theta0() + f.theta1()
 
 def test_felem_is_an_ncpoly_over_ratz():
     assert isinstance(FElem.li((0, 1)), NCPoly)

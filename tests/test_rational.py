@@ -84,6 +84,15 @@ def test_rep_series_and_hankel_rank(rep, depth):
     assert hankel_rank(rep.coefficient, X, depth) == rank
 
 
+@settings(max_examples=40, deadline=None)
+@given(_reps(), st.integers(0, 4))
+def test_coefficients_sweep_agrees_word_by_word(rep, depth):
+    # the integer-row sweep against the Fraction product of each word
+    ws = words_up_to(X, depth)
+    got = rep._coefficients(ws)
+    for w in ws:
+        assert got[w] == rep.coefficient(w), w
+
 def test_residual_representations():
     rep = rep_hypergeometric(F(1, 4), F(1, 4), F(1, 3), q0=(F(2, 3), F(-1, 5)))
     p = NCPoly.word((0, 1), X) + NCPoly.word((1,), X).scale(F(1, 2))
