@@ -31,9 +31,9 @@ from fractions import Fraction
 from math import factorial
 
 from .ncpoly import (
-    NCPoly, _linear, _numerators, _values, _word_coproduct, conc, peel,
-    shuffle, shuffle_words, shuffle_power, stuffle, stuffle_words,
-    stuffle_power, words_up_to,
+    NCPoly, _bilinear, _linear, _word_coproduct, conc, peel, shuffle,
+    shuffle_words, shuffle_power, stuffle, stuffle_words, stuffle_power,
+    words_up_to,
 )
 from .words import (
     X, Y, is_lyndon, lyndon_decompose, lyndon_words, standard_factorization,
@@ -42,14 +42,9 @@ from .words import (
 
 
 def _bracket(a, b):
-    """ab - ba in one pass over the pairs of words, on numerators."""
-    (da, As), (db, Bs) = _numerators(a.terms, b.terms)
-    t = {}
-    for u, cu in As:
-        for v, cv in Bs:
-            t[u + v] = t.get(u + v, 0) + cu * cv
-            t[v + u] = t.get(v + u, 0) - cu * cv
-    return NCPoly._new(a.alphabet, _values(t, da and da * db), None)
+    """ab - ba in one pass over the pairs of words; uv = vu cancels."""
+    return NCPoly._new(a.alphabet, _bilinear(
+        a.terms, b.terms, lambda u, v: ((u + v, 1), (v + u, -1))), None)
 
 
 @functools.cache
@@ -201,20 +196,13 @@ def recompose_from_basis(coords, kind, alphabet=None):
 # Schuetzenberger factorization of the diagonal series, truncated
 
 def _tensor_mul(A, B, first_product, depth, degree):
-    """(u1 (x) v1)(u2 (x) v2) = (u1 * u2) (x) v1 v2, bilinear, cut at depth;
-    on numerators with the degrees of B's first components taken once."""
-    (da, As), (db, Bs) = _numerators(A, B)
-    Bs = [(u2, v2, c2, degree(u2)) for (u2, v2), c2 in Bs]
-    t = {}
-    for (u1, v1), c1 in As:
-        room = depth - degree(u1)
-        for u2, v2, c2, d2 in Bs:
-            if d2 > room:
-                continue
-            c, v = c1 * c2, v1 + v2
-            for u, m in first_product(u1, u2).items():
-                t[(u, v)] = t.get((u, v), 0) + c * m
-    return {k: c for k, c in _values(t, da and da * db).items() if c}
+    """(u1 (x) v1)(u2 (x) v2) = (u1 * u2) (x) v1 v2, bilinear, cut at depth
+    on the degree of the first components."""
+    def product(a, b):
+        v = a[1] + b[1]
+        return [((u, v), m) for u, m in first_product(a[0], b[0]).items()]
+
+    return _bilinear(A, B, product, lambda k: degree(k[0]), depth)
 
 
 def diagonal_factorization_check(alphabet, depth):

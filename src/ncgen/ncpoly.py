@@ -24,13 +24,15 @@ right), (S |> P) has <S | Pw> (strip P from the left).
 peel is the one exact elimination, behind basis coordinates, the Sigma
 blocks and the Hankel rank.
 
-The products, peel and linear combinations (_linear) run on integer
-numerators over one common denominator per operand (_numerators) and
-build one Fraction per output word (_values); float and ring coefficients
-(no denominator) take the values path through the same loops.  The
-identity checks use the same kernels: the duality pairing (cli), the
-tensor products and the bracket (hopf), the Taylor shift (polylog.QPoly,
-via _over_lcm) and the Hankel rows (rational).
+_bilinear is the one bilinear kernel: conc, shuffle, stuffle, the
+coproducts and the residuals here, and the Lie bracket and the tensor
+product in hopf, each hand it their product of two keys.  It, peel and
+the linear combinations (_linear) run on integer numerators over one
+common denominator per operand (_numerators) and build one Fraction per
+output key (_values); float and ring coefficients (no denominator) take
+the values path through the same loops.  _linear also carries the
+duality pairing (cli), and _over_lcm the Taylor shift (polylog.QPoly) and
+the Hankel rows (rational).
 
 Cache: the word products live in `_quasi_shuffle`, a `functools.cache`
 keyed by (u, v, quasi); `_quasi_shuffle.cache_info()` reports hits,
@@ -306,8 +308,9 @@ def _numerators(*maps):
 
 
 def _values(nums, D):
-    """Numerators over D as reduced Fractions; D None: values as they are."""
-    return {w: Fraction(n, D) for w, n in nums.items()} if D else nums
+    """Numerators over D as reduced Fractions (D None: the values as they
+    are), zeros dropped."""
+    return {w: Fraction(n, D) if D else n for w, n in nums.items() if n}
 
 
 def _linear(coords, image):
@@ -321,7 +324,32 @@ def _linear(coords, image):
         for v, r in row:
             prev = t.get(v)
             t[v] = c * r if prev is None else prev + c * r
-    return {k: c for k, c in _values(t, D and D * L).items() if c}
+    return _values(t, D and D * L)
+
+
+def _bilinear(A, B, product=None, degree=len, cap=math.inf):
+    """sum A[u] B[v] product(u, v) over the pairs of keys, zeros dropped:
+    product(u, v) yields pairs (key, int multiplicity); None is u + v,
+    kept inline because a call per pair measurably slows conc, the
+    hottest product.  Pairs with degree(u) + degree(v) > cap are skipped."""
+    (da, As), (db, Bs) = _numerators(A, B)
+    Bs = [(v, cv, degree(v)) for v, cv in Bs]
+    t = {}
+    for u, cu in As:
+        room = cap - degree(u)
+        for v, cv, dv in Bs:
+            if dv > room:
+                continue
+            c = cu * cv
+            if product is None:
+                w = u + v
+                prev = t.get(w)
+                t[w] = c if prev is None else prev + c
+                continue
+            for w, m in product(u, v):
+                prev = t.get(w)
+                t[w] = c * m if prev is None else prev + c * m
+    return _values(t, da and da * db)
 
 
 def _product(P, Q, quasi):
@@ -331,26 +359,11 @@ def _product(P, Q, quasi):
     if quasi and alphabet == X:
         raise ValueError("stuffle needs the Y/Y0 alphabet")
     depth = _min_depth(P.depth, Q.depth)
-    cap = math.inf if depth is None else depth
-    deg = _degree(alphabet)
-    (dp, ps), (dq, qs) = _numerators(P.terms, Q.terms)
-    qs = [(v, cv, deg(v)) for v, cv in qs]
-    t = {}
-    for u, cu in ps:
-        room = cap - deg(u)
-        for v, cv, dv in qs:
-            if dv > room:
-                continue
-            c = cu * cv
-            if quasi is None:
-                w = u + v
-                prev = t.get(w)
-                t[w] = c if prev is None else prev + c
-                continue
-            for w, m in _quasi_shuffle(u, v, quasi).items():
-                prev = t.get(w)
-                t[w] = c * m if prev is None else prev + c * m
-    return NCPoly._new(alphabet, _values(t, dp and dp * dq), depth)
+    words = None if quasi is None else (
+        lambda u, v: _quasi_shuffle(u, v, quasi).items())
+    return NCPoly._new(alphabet, _bilinear(
+        P.terms, Q.terms, words, _degree(alphabet),
+        math.inf if depth is None else depth), depth)
 
 
 def conc(P, Q):
@@ -401,25 +414,18 @@ def series_exp(p):
 # ---------------------------------------------------------------------------
 # coproducts (maps (u, v) -> Fraction on pairs of words)
 
-def _letter_coproduct(a, alphabet, quasi):
-    terms = [((a,), (), 1), ((), (a,), 1)]
-    if quasi:
-        if alphabet == X:
-            raise ValueError("stuffle coproduct needs the Y/Y0 alphabet")
-        for i in range(1, a):
-            terms.append(((i,), (a - i,), 1))
-    return terms
-
-
 def _word_coproduct(w, alphabet, quasi):
-    out = {((), ()): Fraction(1)}
+    """Delta(w): the conc product of the letter coproducts a (x) 1 + 1 (x) a,
+    plus sum_i y_i (x) y_{a-i} for the stuffle."""
+    out = {((), ()): 1}
     for a in w:
-        nxt = {}
-        for (u, v), c in out.items():
-            for (du, dv, m) in _letter_coproduct(a, alphabet, quasi):
-                key = (u + du, v + dv)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * m
-        out = nxt
+        if quasi and alphabet == X:
+            raise ValueError("stuffle coproduct needs the Y/Y0 alphabet")
+        letter = {((a,), ()): 1, ((), (a,)): 1}
+        if quasi:
+            letter.update({((i,), (a - i,)): 1 for i in range(1, a)})
+        out = _bilinear(out, letter,
+                        lambda p, q: (((p[0] + q[0], p[1] + q[1]), 1),))
     return out
 
 
@@ -444,19 +450,13 @@ def _residual(S, P, right):
     """Strip P off one end of S: the left end (<S | Pw>) or, right=True,
     the right end (<S | wP>)."""
     P._check(S)
-    t = {}
-    for s, cs in S.terms.items():
-        for p, cp in P.terms.items():
-            if len(p) > len(s):
-                continue
-            k = len(s) - len(p) if right else len(p)
-            end, w = (s[k:], s[:k]) if right else (s[:k], s[k:])
-            if end != p:
-                continue
-            c = cs * cp
-            prev = t.get(w)
-            t[w] = c if prev is None else prev + c
-    return NCPoly._new(S.alphabet, t, S.depth)
+
+    def strip(s, p):  # an end shorter than p when p is longer than s
+        k = len(s) - len(p) if right else len(p)
+        end, w = (s[k:], s[:k]) if right else (s[:k], s[k:])
+        return ((w, 1),) if end == p else ()
+
+    return NCPoly._new(S.alphabet, _bilinear(S.terms, P.terms, strip), S.depth)
 
 
 def residual_left(P, S):

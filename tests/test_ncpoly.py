@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ncgen.hopf import _bracket, _tensor_mul
 from ncgen.ncpoly import (
     NCPoly, conc, coproduct_shuffle, coproduct_stuffle, grouplike_err,
     is_grouplike, peel, pi_x_poly, pi_y_poly, poly_to_str, residual_left,
@@ -109,6 +110,17 @@ def test_coproduct_stuffle_letter():
     assert coproduct_stuffle(W((2,), Y)) == {
         ((2,), ()): Fraction(1), ((), (2,)): Fraction(1),
         ((1,), (1,)): Fraction(1)}
+
+
+def test_coproduct_stuffle_refuses_x():
+    with pytest.raises(ValueError,
+                       match="stuffle coproduct needs the Y/Y0 alphabet"):
+        coproduct_stuffle(W((0, 1)))
+    with pytest.raises(ValueError):
+        coproduct_stuffle(NCPoly.one(X) + W((1,)))
+    # the empty X word has no letter to refuse
+    assert coproduct_stuffle(NCPoly.one(X)) == {((), ()): Fraction(1)}
+    assert coproduct_stuffle(NCPoly.zero(X)) == {}
 
 
 def _duality_check(w, alphabet, coproduct, word_product):
@@ -386,3 +398,81 @@ def test_peel_equals_the_elimination_in_values(kt, kr, extreme, data):
     cycle = {u: {u: one, v: one}, v: {v: one, u: one}}
     with pytest.raises(ArithmeticError):
         peel({u: ones[kt]}, cycle.get, extreme)
+
+
+# -- the other bilinear maps against their term-by-term loops ---------
+
+def _same(got, want, kinds):
+    """Equal values, and floats exactly when a factor is float."""
+    assert got == want
+    kind = float if "float" in kinds else Fraction
+    assert all(type(c) is kind for c in got.values()), got
+
+
+@settings(max_examples=60, deadline=None)
+@given(_KINDS, _KINDS, st.data())
+def test_bracket_and_residuals_equal_the_term_by_term_loop(ka, kb, data):
+    pool = [w for w in words_up_to(X, 3) if w] + [()]
+    A = NCPoly(X, data.draw(_terms(pool, ka)))
+    b = data.draw(_terms(pool, kb))
+    bracket = _naive_product(A, NCPoly(X, b),
+                             lambda u, v: [(u + v, 1), (v + u, -1)])
+    _same(_bracket(A, NCPoly(X, b)).terms, bracket.terms, (ka, kb))
+    # the residuals keep the depth of the series they strip
+    B = NCPoly(X, b, data.draw(st.one_of(st.none(), st.integers(0, 3))))
+
+    # split each word s of B as s = ab, with a word of A at one end
+    left = _naive_product(B, A, lambda s, p: [
+        (s[:i], 1) for i in range(len(s) + 1) if s[i:] == p])
+    right = _naive_product(B, A, lambda s, p: [
+        (s[i:], 1) for i in range(len(s) + 1) if s[:i] == p])
+    got_left, got_right = residual_left(A, B), residual_right(B, A)
+    _same(got_left.terms, left.terms, (ka, kb))
+    _same(got_right.terms, right.terms, (ka, kb))
+    assert got_left.depth == got_right.depth == B.depth
+
+
+def test_bracket_of_commuting_pairs_cancels():
+    a = W((0,)) + W((0, 0))  # [x0 + x0x0, x0] = x0x0 - x0x0 + x0^3 - x0^3
+    assert _bracket(a, W((0,))).terms == {}
+    assert _bracket(_as_float(a), W((0,), c=0.5)).terms == {}
+    assert _bracket(a, W((1,))) == conc(a, W((1,))) - conc(W((1,)), a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((X, Y)), _KINDS, _KINDS, st.integers(0, 6),
+       st.data())
+def test_tensor_mul_equals_the_term_by_term_loop(alphabet, ka, kb, depth,
+                                                 data):
+    first, degree = ((shuffle_words, len) if alphabet == X
+                     else (stuffle_words, sum))
+    words = words_up_to(alphabet, 3)
+    pairs = [(u, v) for u in words for v in words[:6]]
+    A = data.draw(_terms(pairs, ka))
+    B = data.draw(_terms(pairs, kb))
+    loop = _naive_product(
+        NCPoly._new(alphabet, A, None), NCPoly._new(alphabet, B, None),
+        lambda a, b: [((u, a[1] + b[1]), m)
+                      for u, m in first(a[0], b[0]).items()])
+    want = {k: c for k, c in loop.terms.items() if degree(k[0]) <= depth}
+    _same(_tensor_mul(A, B, first, depth, degree), want, (ka, kb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(coproduct_shuffle, shuffle_words, X),
+                         (coproduct_shuffle, shuffle_words, Y),
+                         (coproduct_stuffle, stuffle_words, Y)]),
+       _KINDS, st.data())
+def test_coproducts_equal_the_term_by_term_loop(maps, kind, data):
+    coproduct, word_product, alphabet = maps
+    words = words_up_to(alphabet, 3)
+    P = NCPoly(alphabet, data.draw(_terms(words, kind)))
+    # <Delta(P) | u (x) v> = <P | u * v>, summed word by word
+    want = {}
+    for w, c in P.terms.items():
+        for u in words:
+            for v in words:
+                m = word_product(u, v).get(w, 0)
+                if m:
+                    want[(u, v)] = want.get((u, v), 0) + c * m
+    _same(coproduct(P), {k: c for k, c in want.items() if c}, (kind,))
