@@ -10,6 +10,12 @@ Subcommands:
 Global flags: --format {text,json}, --precision DIGITS, --seed N.
 The environment variable NCGEN_MAX_DEPTH caps every depth-like argument.
 The argument parser is built once per process and reused by every main().
+
+JSON output is json.dumps(payload, indent=2) byte for byte, floats
+rounded to --precision significant digits (text output rounds the same
+way). A closed stdout pipe (`ncgen ... | head`) ends the command quietly
+with exit code 1; any other failed write prints one "error: cannot write
+output: ..." line and exits with code 2.
 """
 
 import argparse
@@ -41,20 +47,55 @@ def _parse_word(text):
         raise CLIError(str(exc)) from None
 
 
-def _roundfloats(obj, digits):
-    if isinstance(obj, float):
-        return float("%.*g" % (digits, obj))
-    if isinstance(obj, dict):
-        return {k: _roundfloats(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_roundfloats(v, digits) for v in obj]
-    return obj
+def _round(x, digits):
+    """x to `digits` significant digits: how every printed float rounds."""
+    return float("%.*g" % (digits, x))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _to_json(obj, digits):
+    """json.dumps(obj, indent=2) byte for byte, each float first rounded
+    by _round. Strings go through json's C escaper and other scalars
+    through json.dumps, so json's pure-Python indent encoder never runs."""
+    chunks = []
+    put = chunks.append
+
+    def walk(obj, indent):  # indent: the newline and spaces before a closer
+        if isinstance(obj, str):
+            put(_encode_str(obj))
+        elif isinstance(obj, dict) and obj:
+            inner = indent + "  "
+            sep = "{" + inner
+            for k, v in obj.items():
+                put(sep + _encode_str(k) + ": ")
+                walk(v, inner)
+                sep = "," + inner
+            put(indent + "}")
+        elif isinstance(obj, (list, tuple)) and obj:
+            inner = indent + "  "
+            sep = "[" + inner
+            for v in obj:
+                put(sep)
+                walk(v, inner)
+                sep = "," + inner
+            put(indent + "]")
+        else:  # a scalar, {} or []
+            put(json.dumps(_round(obj, digits) if isinstance(obj, float)
+                           else obj))
+
+    walk(obj, "\n")
+    return "".join(chunks)
 
 
 def _emit(args, payload, text_lines=None):
-    payload = _roundfloats(payload, args.precision)
+    """Print payload as json.dumps(payload, indent=2) would, floats rounded
+    to --precision, or in text format the lines text_lines(payload), which
+    rounds the floats it prints with _round. A closed pipe or another
+    failed write raises OSError, for main() to report."""
     if args.format == "json" or text_lines is None:
-        print(json.dumps(payload, indent=2))
+        print(_to_json(payload, args.precision))
     else:
         for line in text_lines(payload):
             print(line)
@@ -331,9 +372,11 @@ def cmd_eval(args):
             raise CLIError(str(exc)) from None
         payload = {"word": args.word, "z": args.z, "terms": terms,
                    "value": value, "tail_bound": tail}
-        _emit(args, payload,
-              lambda p: ["Li_{%s}(%s) = %s  (tail <= %s)"
-                         % (p["word"], p["z"], p["value"], p["tail_bound"])])
+        _emit(args, payload, lambda p: [
+            "Li_{%s}(%s) = %s  (tail <= %s)" % (
+                p["word"], _round(p["z"], args.precision),
+                _round(p["value"], args.precision),
+                _round(p["tail_bound"], args.precision))])
         return 0
 
     if args.which == "hneg":
@@ -406,7 +449,8 @@ def cmd_simulate(args):
     if not math.isfinite(y):
         raise CLIError("the output overflows a float")
     payload.update(depth=depth, output=y)
-    _emit(args, payload, lambda p: ["output = %s" % p["output"]])
+    _emit(args, payload,
+          lambda p: ["output = %s" % _round(p["output"], args.precision)])
     return 0
 
 
@@ -471,10 +515,24 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _depth_cap(args)
-        return args.func(args)
+        code = args.func(args)
+        # flush now, so a failed write lands below and not at exit; print
+        # skips a stdout that was closed at start-up (sys.stdout is None)
+        print(end="", flush=True)
     except CLIError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except OSError as exc:  # from a write to stdout: the only other I/O,
+        # reading a system file, raises CLIError. The interpreter flushes
+        # stdout again at exit; send that nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):  # the reader has gone: no noise
+            return 1
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

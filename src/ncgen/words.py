@@ -240,7 +240,7 @@ def word_to_str(w, alphabet=X):
     if not w:
         return "e"
     prefix = "x" if alphabet == X else "y"
-    return " ".join("%s%d" % (prefix, a) for a in w)
+    return prefix + (" " + prefix).join(map(str, w))
 
 
 def str_to_word(s):

@@ -3,12 +3,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgen.cli import main
+from ncgen.cli import _to_json, main
 from ncgen.polylog import auto_terms
 
 
@@ -597,6 +600,22 @@ EXACT_OUTPUT = [
      "acd576f0c1c2cedb0334934024a2acac486b8904504a0cfac1e99747f9fc195c"),
     (["--format", "json", "eval", "hneg", "--word", "y4 y0 y1"],
      "bcb22601f4eb3d8cf7063a1a1c3c578be44f684a4c0be53c9bfece18d45b676a"),
+    (["--precision", "3", "eval", "li", "--word", "x0 x1", "--z", "0.5"],
+     "b1bcf6f779e920b594446de76d6441077a4af88b81c0b8d7bd7c075dcaab62d2"),
+    (["eval", "li", "--word", "y2 y1", "--z", "0.9"],
+     "07cb7cd56733973387d99f63c4bcdd96e9515759ca534316358bb0ce2277ad24"),
+    (["--format", "json", "eval", "li", "--word", "y2 y1", "--z", "0.9"],
+     "0d24f1143179255c2b1cdeb4fda01f96b209aa0014ecfd935497fd603a67792b"),
+    (["--format", "json", "--precision", "17", "eval", "li", "--word",
+      "y2 y1", "--z", "0.9"],
+     "74da298555933e79055bd147458a8b8a235ba26d0d28a692bd8f3dedb68594e8"),
+    (["--format", "json", "table", "dual-bases", "--alphabet", "Y",
+      "--max-weight", "5"],
+     "8a72f33b42f18294ab4163248895ffa4f63a1c269979135acc2d4c9acd8049eb"),
+    (["--format", "json", "lyndon", "--alphabet", "Y", "--max-weight", "6"],
+     "4ab103c36c6ca3d09a3231e96ac1e27d46efa60c23a31cddcecf18466b902636"),
+    (["--format", "json", "table", "eulerian", "--max-n", "6"],
+     "a091527e488cece0bf9fa44dcace5d19d1f8935ccdd14bca291b2a53bb9ae32d"),
 ]
 
 
@@ -691,3 +710,80 @@ def test_verify_dynsys_catches_a_wrong_representation(capsys, monkeypatch):
     code, out = run_json(capsys, "verify", "dynsys", "--depth", "4")
     assert code == 1
     assert out["rep_vs_fields_exact"] is False and out["pass"] is False
+
+
+def _round_ref(obj, digits):
+    if isinstance(obj, float):
+        return float("%.*g" % (digits, obj))
+    if isinstance(obj, dict):
+        return {k: _round_ref(v, digits) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_ref(v, digits) for v in obj]
+    return obj
+
+
+_JSON_SCALARS = (st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f",
+                                              "\u00e9\u2603\U0001d11e"])
+                 | st.booleans() | st.none()
+                 | st.integers(-2 ** 200, 2 ** 200)
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.sampled_from([-0.0, 5e-324, 1e16, math.inf, -math.inf,
+                                    math.nan]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES, st.integers(1, 17))
+def test_to_json_is_rounded_json_dumps(obj, digits):
+    assert _to_json(obj, digits) == json.dumps(_round_ref(obj, digits),
+                                               indent=2)
+
+
+@pytest.mark.parametrize("argv", [["--T", "0.1", "--controls", "1.0,0.5"],
+                                  ["--z", "0.4"]])
+def test_simulate_text_rounds_like_json(tmp_path, capsys, argv):
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps(_OSCILLATOR))
+    argv = ["simulate", "--system", str(path)] + argv
+    _, full = run_json(capsys, "--format", "json", "--precision", "17", *argv)
+    _, text, _ = run(capsys, "--precision", "4", *argv)
+    assert text == "output = %r\n" % float("%.4g" % full["output"])
+    assert text != "output = %r\n" % full["output"]
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_BIG_TABLE = ["table", "dual-bases", "--max-len", "10"]  # about 1 MB of JSON
+
+
+def _start_cli(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    return subprocess.Popen([sys.executable, "-m", "ncgen.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_pipe_exits_quietly(fmt):
+    # as in `ncgen ... | head -c 100`: the reader leaves mid-output
+    proc = _start_cli(["--format", fmt] + _BIG_TABLE, subprocess.PIPE)
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) != 0
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_write_is_one_error_line():
+    with open("/dev/full", "wb") as full:
+        proc = _start_cli(_BIG_TABLE, full)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+    assert err == ("error: cannot write output: [Errno 28] "
+                   "No space left on device\n")
