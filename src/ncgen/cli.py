@@ -92,10 +92,12 @@ def _to_json(obj, digits):
 def _emit(args, payload, text_lines=None):
     """Print payload as json.dumps(payload, indent=2) would, floats rounded
     to --precision, or in text format the lines text_lines(payload), which
-    rounds the floats it prints with _round. A closed pipe or another
+    rounds the floats it prints with _round. A payload that only JSON
+    prints may come as a function that builds it. A closed pipe or another
     failed write raises OSError, for main() to report."""
     if args.format == "json" or text_lines is None:
-        print(_to_json(payload, args.precision))
+        print(_to_json(payload() if callable(payload) else payload,
+                       args.precision))
     else:
         for line in text_lines(payload):
             print(line)
@@ -166,10 +168,10 @@ def cmd_table(args):
         else:
             pairs = [(hopf.pbw_pi(l), hopf.dual_sigma(l)) for l in lws]
         names = [word_to_str(l, alphabet) for l in lws]
-        rows = [{"lyndon": name, "p": p.to_json_dict()["terms"],
-                 "s": s.to_json_dict()["terms"]}
-                for name, (p, s) in zip(names, pairs)]
-        _emit(args, {"alphabet": alphabet, "rows": rows}, lambda _: [
+        _emit(args, lambda: {"alphabet": alphabet, "rows": [
+            {"lyndon": name, "p": p.to_json_dict()["terms"],
+             "s": s.to_json_dict()["terms"]}
+            for name, (p, s) in zip(names, pairs)]}, lambda _: [
             "%-12s  P = %s\n%-12s  S = %s" % (
                 name, ncpoly.poly_to_str(p), "", ncpoly.poly_to_str(s))
             for name, (p, s) in zip(names, pairs)])
@@ -181,10 +183,10 @@ def cmd_table(args):
         ws = [w for w in ncpoly.words_up_to(Y, args.max_weight) if w]
         names = [word_to_str(w, Y) for w in ws]
         pairs = [(hopf.pbw_pi(w), hopf.dual_sigma(w)) for w in ws]
-        rows = [{"word": name, "pi": p.to_json_dict()["terms"],
-                 "sigma": s.to_json_dict()["terms"]}
-                for name, (p, s) in zip(names, pairs)]
-        _emit(args, {"rows": rows}, lambda _: [
+        _emit(args, lambda: {"rows": [
+            {"word": name, "pi": p.to_json_dict()["terms"],
+             "sigma": s.to_json_dict()["terms"]}
+            for name, (p, s) in zip(names, pairs)]}, lambda _: [
             "%-10s  Pi = %-40s Sigma = %s" % (
                 name, ncpoly.poly_to_str(p), ncpoly.poly_to_str(s))
             for name, (p, s) in zip(names, pairs)])

@@ -14,10 +14,14 @@ With these pairings the output is y(z) = sum_w <sigma(f)|w> alpha_w.
 
 Chen series for the two singular forms dz/z and dz/(1-z) come either
 from the factorized polylog product (renorm.l_series) or from direct
-integration of the word ODE, both on segments inside (0, 1); for ordinary
-(non-singular) constant controls on [0, T] the coefficients collapse to
-u_{i1}...u_{ik} T^k/k!.  Every ODE here is solved by one call, _solve:
-scipy's DOP853 with rtol 1e-12 and atol 1e-14.
+integration of the word ODE, both on segments inside (0, 1); one
+function, _alphas, integrates the word ODE on any suffix-closed word
+list: every word up to a depth for chen_ode, the suffixes of one word
+for iterated_integral.  For ordinary (non-singular) constant controls on
+[0, T] the coefficients collapse to u_{i1}...u_{ik} T^k/k!.  Every ODE
+here is solved by one call, _solve: scipy's DOP853 with rtol 1e-12 and
+atol 1e-14.  The output is one sum, _pair, whether the coefficients
+come from the vector fields or from a linear representation.
 """
 
 import json
@@ -199,20 +203,16 @@ def _solve(rhs, t0, t1, y0):
     return sol.y[:, -1]
 
 
-def chen_ode(z0, z1, depth):
-    """All alpha_w(z0 -> z1), |w| <= depth, by integrating the word ODE.
-
-    alpha'_{x_i v}(z) = omega_i(z) alpha_v(z), omega_0 = 1/z,
-    omega_1 = 1/(1-z); needs 0 < z < 1 along the segment.
-    """
+def _alphas(ws, z0, z1):
+    """{w: alpha_w(z0 -> z1)} on a suffix-closed word list, by one
+    integration of the word ODE alpha'_{x_i v}(z) = omega_i(z) alpha_v(z),
+    omega_0 = 1/z, omega_1 = 1/(1-z), alpha_() = 1; needs 0 < z < 1 along
+    the segment."""
     _check_segment(z0, z1)
-    ws = words_up_to(X, depth)
     index = {w: i for i, w in enumerate(ws)}
     first = np.array([w[0] if w else -1 for w in ws])
     tail = np.array([index[w[1:]] if w else 0 for w in ws])
-    nonempty = np.array([bool(w) for w in ws])
-    i0 = nonempty & (first == 0)
-    i1 = nonempty & (first == 1)
+    i0, i1 = first == 0, first == 1
 
     def rhs(z, a):
         out = np.zeros_like(a)
@@ -222,27 +222,19 @@ def chen_ode(z0, z1, depth):
 
     a0 = np.zeros(len(ws))
     a0[index[()]] = 1.0
-    final = _solve(rhs, z0, z1, a0)
-    return NCPoly(X, {w: final[index[w]] for w in ws}, depth)
+    return dict(zip(ws, _solve(rhs, z0, z1, a0)))
+
+
+def chen_ode(z0, z1, depth):
+    """All alpha_w(z0 -> z1), |w| <= depth, by integrating the word ODE."""
+    return NCPoly(X, _alphas(words_up_to(X, depth), z0, z1), depth)
 
 
 def iterated_integral(w, z0, z1):
-    """Single iterated integral alpha_w(z0 -> z1) of the singular forms."""
-    _check_segment(z0, z1)
+    """Single iterated integral alpha_w(z0 -> z1) of the singular forms:
+    the word ODE on the suffixes of w."""
     w = tuple(w)
-    suffixes = [w[i:] for i in range(len(w) + 1)]
-    index = {v: i for i, v in enumerate(suffixes)}
-
-    def rhs(z, a):
-        out = np.zeros_like(a)
-        for v in suffixes[:-1]:  # the last suffix is the empty word
-            om = 1.0 / z if v[0] == 0 else 1.0 / (1.0 - z)
-            out[index[v]] = om * a[index[v[1:]]]
-        return out
-
-    a0 = np.zeros(len(suffixes))
-    a0[index[()]] = 1.0
-    return float(_solve(rhs, z0, z1, a0)[index[w]])
+    return float(_alphas([w[i:] for i in range(len(w) + 1)], z0, z1)[w])
 
 
 def chen_drift(T, depth, controls=(1.0, 0.0)):
@@ -274,18 +266,8 @@ def fliess_output(system, chen, depth):
 
 
 def fliess_output_rep(rep, chen, depth):
-    """Same sum with coefficients from a linear representation (floats)."""
-    lam = np.array([float(c) for c in rep.lam])
-    eta = np.array([float(c) for c in rep.eta])
-    mats = {a: np.array([[float(c) for c in row] for row in m])
-            for a, m in rep.mu.items()}
-    total = 0.0
-    rows = {(): lam}
-    for w in words_up_to(X, depth):
-        if w:
-            rows[w] = rows[w[:-1]] @ mats[w[-1]]
-        total += float(rows[w] @ eta) * chen.coeff(w)
-    return total
+    """Same sum with coefficients from a linear representation."""
+    return _pair(rep.truncated_series(depth), chen)
 
 
 def dyson_output(system, chen, depth):

@@ -2,7 +2,10 @@
 
 A series S over an alphabet is rational when its coefficients factor
 through matrices: <S|w> = lambda mu(w1) mu(w2) ... mu(wk) eta, with the
-first letter of w applied first.  Everything is exact (Fractions).
+first letter of w applied first.  Everything is exact (Fractions), and
+every coefficient comes from one prefix sweep: the integer rows
+lambda mu(w) of _rows, each dotted with eta; a residual sums those rows
+(the left one on the transposed representation).
 The Hankel rank peels each Hankel row (ncpoly.peel) against the pivot
 rows found so far; the rank is the number of pivots.
 """
@@ -17,21 +20,6 @@ from ncgen.ncpoly import (
 from ncgen.words import X, str_to_word, word_to_str
 
 _ZERO = Fraction(0)
-
-
-def _mat_vec(m, v):
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), _ZERO)
-                 for row in m)
-
-
-def _vec_mat(v, m):
-    n = len(m)
-    return tuple(sum((v[i] * m[i][j] for i in range(n)), _ZERO)
-                 for j in range(len(m[0])))
-
-
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
 
 
 class LinearRepresentation:
@@ -60,17 +48,11 @@ class LinearRepresentation:
         if len(self.lam) != self.n:
             raise ValueError("lambda has wrong length")
 
-    def coefficient(self, w):
-        row = self.lam
-        for a in w:
-            row = _vec_mat(row, self.mu[a])
-        return _dot(row, self.eta)
-
-    def _coefficients(self, words):
-        """Map w -> <S|w> on prefix-closed words listed prefixes first;
-        one product per word: row(w) = row(w[:-1]) mu(last letter), on
-        integer rows over the lcms of lambda and of each mu(letter) (one
-        Fraction per word)."""
+    def _rows(self, words):
+        """Map w -> (D, row), lambda mu(w) = row / D with an integer row,
+        on prefix-closed words listed prefixes first; one product per
+        word: row(w) = row(w[:-1]) mu(last letter), over the lcms of
+        lambda and of each mu(letter)."""
         cols = {}
         for a, mat in self.mu.items():
             D, flat = _over_lcm(sum(mat, ()))
@@ -80,37 +62,49 @@ class LinearRepresentation:
             if w not in rows:
                 (D, row), (M, mat) = rows[w[:-1]], cols[w[-1]]
                 rows[w] = D * M, [sum(map(mul, row, col)) for col in mat]
+        return rows
+
+    def _coefficients(self, words):
+        """Map w -> <S|w> on the words of _rows and their prefixes: each
+        row dotted with eta over its lcm (one Fraction per word)."""
         E, eta = _over_lcm(self.eta)
         return {w: Fraction(sum(map(mul, row, eta)), D * E)
-                for w, (D, row) in rows.items()}
+                for w, (D, row) in self._rows(words).items()}
+
+    def coefficient(self, w):
+        """<S|w>, read off the sweep over the prefixes of w."""
+        w = tuple(w)
+        return self._coefficients([w[:i] for i in range(1, len(w) + 1)])[w]
 
     def truncated_series(self, depth):
-        return NCPoly(self.alphabet,
-                      self._coefficients(words_up_to(self.alphabet, depth)))
+        return NCPoly._new(self.alphabet, self._coefficients(
+            words_up_to(self.alphabet, depth)), None)
 
     def residual(self, p, side):
         """Representation of the residual of the series by a polynomial.
 
-        side="right": series w -> <S|p w>  (lambda moves);
-        side="left":  series w -> <S|w p>  (eta moves).
+        side="right": series w -> <S|p w>; lambda becomes the sum of
+        c_u lambda mu(u) over the terms c_u u of p.
+        side="left":  series w -> <S|w p>; eta becomes the lambda of the
+        right residual of the transposed representation (eta, mu(a)^T,
+        lambda) by p with its words reversed.
         """
-        if side == "right":
-            lam = (_ZERO,) * self.n
-            for u, c in p.terms.items():
-                row = self.lam
-                for a in u:
-                    row = _vec_mat(row, self.mu[a])
-                lam = tuple(x + c * y for x, y in zip(lam, row))
-            return LinearRepresentation(self.alphabet, lam, self.mu, self.eta)
         if side == "left":
-            eta = (_ZERO,) * self.n
-            for u, c in p.terms.items():
-                col = self.eta
-                for a in reversed(u):
-                    col = _mat_vec(self.mu[a], col)
-                eta = tuple(x + c * y for x, y in zip(eta, col))
-            return LinearRepresentation(self.alphabet, self.lam, self.mu, eta)
-        raise ValueError("side must be 'left' or 'right'")
+            t = LinearRepresentation(
+                self.alphabet, self.eta,
+                {a: zip(*mat) for a, mat in self.mu.items()}, self.lam)
+            back = NCPoly(p.alphabet, {u[::-1]: c for u, c in p.terms.items()})
+            return LinearRepresentation(self.alphabet, self.lam, self.mu,
+                                        t.residual(back, "right").lam)
+        if side != "right":
+            raise ValueError("side must be 'left' or 'right'")
+        rows = self._rows([u[:i] for u in p.terms
+                           for i in range(1, len(u) + 1)])
+        lam = [_ZERO] * self.n
+        for u, c in p.terms.items():
+            D, row = rows[u]
+            lam = [x + c * y / D for x, y in zip(lam, row)]
+        return LinearRepresentation(self.alphabet, lam, self.mu, self.eta)
 
     def to_json_dict(self):
         return {

@@ -10,6 +10,8 @@ Contents:
   * the series are ncpoly.NCPoly with float coefficients and a depth
     (TruncatedNCSeries is another name for it), and series_exp is
     ncpoly.series_exp;
+  * one Lyndon-ordered product of exponentials, _lyndon_product, read
+    with a character: Li(z) for L(z), zeta for Z_st;
   * regularized zeta characters for the shuffle (X) and stuffle (Y)
     sides (zero on the letters x0, x1 and y1): coefficients of Z_sh =
     sigma(L(1/2))^{-1} L(1/2) and of Z_st, each read at the depth of its
@@ -40,6 +42,22 @@ DEFAULT_N = 100000
 
 # the float series are NCPoly with a depth; the name stays for importers
 TruncatedNCSeries = NCPoly
+
+
+def _lyndon_product(alphabet, depth, value):
+    """prod_l exp(<value|S_l> P_l) up to a depth (Sigma_l and Pi_l over Y):
+    the ordered product over the Lyndon words l, largest leftmost, where
+    value(v) is the float that the character takes on the word v.  A
+    factor with a zero coefficient is 1 and skipped; {(): 1.0} at depth 0.
+    """
+    dual, pbw = (dual_s, pbw_p) if alphabet == X else (dual_sigma, pbw_pi)
+    out = NCPoly(alphabet, {(): 1.0}, depth)
+    for l in reversed(lyndon_words(alphabet, max_length=depth,
+                                   max_weight=depth)):
+        coef = sum(float(c) * value(v) for v, c in dual(l).terms.items())
+        if coef:
+            out = out * series_exp(pbw(l).truncate(depth).scale(coef))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +118,8 @@ def z_shuffle_series(depth):
 @functools.cache
 def _z_st(depth):
     """z_stuffle_series, shared by every caller: read it, never change it."""
-    out = NCPoly(Y, {(): 1.0}, depth)
-    for l in reversed(lyndon_words(Y, max_weight=depth)):
-        if l == (1,):
-            continue
-        coef = sum(float(c) * zeta_numeric(v)
-                   for v, c in dual_sigma(l).terms.items())
-        out = out * series_exp(pbw_pi(l).truncate(depth).scale(coef))
-    return out
+    return _lyndon_product(Y, depth,
+                           lambda v: 0.0 if v == (1,) else zeta_numeric(v))
 
 
 def z_stuffle_series(depth):
@@ -158,20 +170,14 @@ def l_series(z, depth):
     """L(z) = e^{-log(1-z) x1} prod_l exp(Li_{S_l}(z) P_l) e^{log(z) x0}
     up to words of length depth, for 0 < z < 1 (ValueError otherwise).
 
-    The ordered product runs over Lyndon X-words other than the letters,
-    largest leftmost; each Li_{S_l} is a finite combination of convergent
-    polylogarithms, each summed to auto_terms(z) terms.
+    The Lyndon-ordered product with the character log z on x0, -log(1-z)
+    on x1 and Li_v(z) on every other word v, each a convergent
+    polylogarithm summed to auto_terms(z) terms.
     """
     _check_segment(z)
-    out = series_exp(NCPoly(X, {(1,): -math.log(1.0 - z)}, depth))
-    out = out.scale(1.0)  # float even at depth 0, where out is the unit
-    for l in reversed(lyndon_words(X, max_length=depth)):
-        if len(l) == 1:
-            continue
-        coef = sum(float(c) * polylog_eval(v, z, alphabet=X)[0]
-                   for v, c in dual_s(l).terms.items())
-        out = out * series_exp(pbw_p(l).truncate(depth).scale(coef))
-    return out * series_exp(NCPoly(X, {(0,): math.log(z)}, depth))
+    letters = {(0,): math.log(z), (1,): -math.log(1.0 - z)}
+    return _lyndon_product(X, depth, lambda v: letters[v] if v in letters
+                           else polylog_eval(v, z, alphabet=X)[0])
 
 
 def chen_between(z0, z1, depth):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncgen.dynsys import (
     PolySystem,
@@ -95,6 +96,19 @@ def test_iterated_integral_values():
     chen = chen_ode(0.2, 0.5, 3)
     for w in [(0, 1), (1, 0), (0, 0, 1), (1, 0, 1)]:
         assert abs(iterated_integral(w, 0.2, 0.5) - chen.coeff(w)) < 1e-9, w
+
+
+_ends = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple),
+       _ends, _ends)
+def test_iterated_integral_is_chen_coefficient(w, z0, z1):
+    # the word ODE on the suffixes of w against the one on all words up
+    # to |w|; either direction of the segment
+    want = chen_ode(z0, z1, len(w)).coeff(w)
+    assert abs(iterated_integral(w, z0, z1) - want) <= 1e-10
 
 
 def test_chen_path_composition():

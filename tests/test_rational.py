@@ -93,6 +93,45 @@ def test_coefficients_sweep_agrees_word_by_word(rep, depth):
     for w in ws:
         assert got[w] == rep.coefficient(w), w
 
+
+def _sympy_products(rep, ws):
+    """w -> lambda mu(w1) ... mu(wk) eta, each one sympy Matrix product."""
+    def q(c):
+        return sympy.Rational(c.numerator, c.denominator)
+    mu = {a: sympy.Matrix([[q(c) for c in row] for row in mat])
+          for a, mat in rep.mu.items()}
+    lam = sympy.Matrix([[q(c) for c in rep.lam]])
+    eta = sympy.Matrix([q(c) for c in rep.eta])
+    out = {}
+    for w in ws:
+        m = lam
+        for a in w:
+            m = m * mu[a]
+        m = m * eta
+        out[w] = F(int(m[0].p), int(m[0].q))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reps(), st.lists(_small, min_size=7, max_size=7))
+def test_sweep_and_residuals_against_sympy(rep, cs):
+    # every route to <S|w> against the matrix product, |w| <= 4, and both
+    # residuals by p = sum c_u u over the words |u| <= 2 against sums of
+    # those products
+    ws = words_up_to(X, 4)
+    want = _sympy_products(rep, ws)
+    swept, series = rep._coefficients(ws), rep.truncated_series(4)
+    for w in ws:
+        assert rep.coefficient(w) == swept[w] == series.coeff(w) == want[w], w
+    p = NCPoly(X, dict(zip(words_up_to(X, 2), cs)))
+    right, left = rep.residual(p, "right"), rep.residual(p, "left")
+    for w in words_up_to(X, 2):
+        assert right.coefficient(w) == sum(
+            (c * want[u + w] for u, c in p.terms.items()), F(0)), w
+        assert left.coefficient(w) == sum(
+            (c * want[w + u] for u, c in p.terms.items()), F(0)), w
+
+
 def test_residual_representations():
     rep = rep_hypergeometric(F(1, 4), F(1, 4), F(1, 3), q0=(F(2, 3), F(-1, 5)))
     p = NCPoly.word((0, 1), X) + NCPoly.word((1,), X).scale(F(1, 2))

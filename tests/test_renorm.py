@@ -213,3 +213,10 @@ def test_series_at_every_depth_are_float(depth):
                    z_stuffle_series(depth)):
         assert series.terms
         assert all(type(c) is float for c in series.terms.values())
+
+
+def test_depth_zero_series_are_float_one():
+    # the Lyndon product is empty at depth 0: the float unit, nothing else
+    for series in (l_series(0.3, 0), z_stuffle_series(0)):
+        assert series.terms == {(): 1.0}
+        assert type(series.terms[()]) is float
