@@ -36,8 +36,8 @@ from .ncpoly import (
     words_up_to,
 )
 from .words import (
-    X, Y, is_lyndon, lyndon_decompose, lyndon_words, standard_factorization,
-    word_key,
+    X, Y, _compositions, _grading, cfl_factors, is_lyndon, lyndon_decompose,
+    lyndon_words, standard_factorization, word_key,
 )
 
 
@@ -57,10 +57,8 @@ def _pbw(w, alphabet):
         s, r = standard_factorization(w, alphabet)
         return _bracket(_pbw(s, alphabet), _pbw(r, alphabet))
     out = NCPoly.one(alphabet)
-    for l, mult in lyndon_decompose(w, alphabet):
-        base = _pbw(l, alphabet)
-        for _ in range(mult):
-            out = conc(out, base)
+    for l in cfl_factors(w, alphabet):
+        out = conc(out, _pbw(l, alphabet))
     return out
 
 
@@ -138,8 +136,7 @@ def pbw_pi(w):
 @functools.cache
 def _sigma_block(n):
     """Map word -> Sigma_w expansion for all Y-words of weight n."""
-    ws = sorted((w for w in words_up_to(Y, n) if sum(w) == n),
-                key=lambda w: word_key(w, Y))
+    ws = sorted(_compositions(n), key=lambda w: word_key(w, Y))
     # w = sum_v <w | Sigma_v> Pi_v; the sorted order fixes the term order
     cols = {v: {} for v in ws}
     for w in ws:
@@ -211,11 +208,10 @@ def diagonal_factorization_check(alphabet, depth):
     if alphabet == X:
         lynd = lyndon_words(X, max_length=depth)
         dual, pbw, first_product = dual_s, pbw_p, shuffle_words
-        degree = len
     else:
         lynd = lyndon_words(Y, max_weight=depth)
         dual, pbw, first_product = dual_sigma, pbw_pi, stuffle_words
-        degree = sum
+    degree = _grading(alphabet)
 
     def tensor(coords):  # sum <S_w | u> u (x) P_w over the keys (w, u)
         return _linear(coords, lambda wu: {

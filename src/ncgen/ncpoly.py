@@ -44,7 +44,7 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
-from .words import X, Y, Y0, pi_x_word, pi_y_word, weight, word_to_str, str_to_word
+from .words import X, Y, _grading, pi_x_word, pi_y_word, word_to_str, str_to_word
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -92,11 +92,6 @@ def stuffle_words(u, v):
     return MappingProxyType(_quasi_shuffle(u, v, True))
 
 
-def _degree(alphabet):
-    """The degree of a word: len over X, the weight (letter sum) over Y/Y0."""
-    return len if alphabet == X else sum
-
-
 def _min_depth(a, b):
     return b if a is None else a if b is None else min(a, b)
 
@@ -116,7 +111,7 @@ class NCPoly:
         self.depth = depth
         t = {}
         if terms:
-            deg, coef = _degree(alphabet), self._coef
+            deg, coef = _grading(alphabet), self._coef
             for w, c in terms.items():
                 c = coef(c)
                 if c and (depth is None or deg(w) <= depth):
@@ -216,7 +211,7 @@ class NCPoly:
         depth = _min_depth(self.depth, max_degree)
         if depth == self.depth:
             return self
-        deg = _degree(self.alphabet)
+        deg = _grading(self.alphabet)
         return self._new(self.alphabet,
                          {w: c for w, c in self.terms.items()
                           if deg(w) <= depth}, depth)
@@ -362,7 +357,7 @@ def _product(P, Q, quasi):
     words = None if quasi is None else (
         lambda u, v: _quasi_shuffle(u, v, quasi).items())
     return NCPoly._new(alphabet, _bilinear(
-        P.terms, Q.terms, words, _degree(alphabet),
+        P.terms, Q.terms, words, _grading(alphabet),
         math.inf if depth is None else depth), depth)
 
 
@@ -546,11 +541,12 @@ def grouplike_err(S, product, depth):
     """
     quasi = {"shuffle": False, "stuffle": True}[product]
     ws = words_up_to(S.alphabet, depth)
+    deg = _grading(S.alphabet)
     worst = 0
     for u in ws:
-        du = weight(u, S.alphabet)
+        du = deg(u)
         for v in ws:
-            if du + weight(v, S.alphabet) > depth:
+            if du + deg(v) > depth:
                 continue
             lhs = S.coeff(u) * S.coeff(v)
             rhs = sum(c * S.coeff(w)
@@ -584,7 +580,8 @@ def poly_to_str(P):
     if not P.terms:
         return "0"
     bits = []
-    for w in sorted(P.terms, key=lambda w: (weight(w, P.alphabet), w)):
+    deg = _grading(P.alphabet)
+    for w in sorted(P.terms, key=lambda w: (deg(w), w)):
         c = P.terms[w]
         ws = word_to_str(w, P.alphabet)
         if c == 1 and w:

@@ -30,51 +30,54 @@ class LinearRepresentation:
     column vector eta.
     """
 
-    __slots__ = ("alphabet", "n", "lam", "mu", "eta")
+    __slots__ = ("alphabet", "n", "lam", "mu", "eta", "_lam_int", "_cols",
+                 "_eta_int")
 
     def __init__(self, alphabet, lam, mu, eta):
         self.alphabet = alphabet
         self.n = len(eta)
         self.lam = tuple(Fraction(c) for c in lam)
         self.eta = tuple(Fraction(c) for c in eta)
-        self.mu = {}
+        # the integer form every sweep reads: lambda, the columns of each
+        # mu(letter) and eta, each as integers over its lcm
+        self._lam_int, self._eta_int = _over_lcm(self.lam), _over_lcm(self.eta)
+        self.mu, self._cols = {}, {}
         for letter, mat in mu.items():
-            self.mu[letter] = tuple(tuple(Fraction(c) for c in row)
-                                    for row in mat)
-            if len(self.mu[letter]) != self.n or any(
-                    len(row) != self.n for row in self.mu[letter]):
+            mat = self.mu[letter] = tuple(tuple(Fraction(c) for c in row)
+                                          for row in mat)
+            if len(mat) != self.n or any(len(row) != self.n for row in mat):
                 raise ValueError("matrix for letter %r is not %d x %d"
                                  % (letter, self.n, self.n))
+            D, flat = _over_lcm(sum(mat, ()))
+            self._cols[letter] = D, [flat[j::self.n] for j in range(self.n)]
         if len(self.lam) != self.n:
             raise ValueError("lambda has wrong length")
 
     def _rows(self, words):
         """Map w -> (D, row), lambda mu(w) = row / D with an integer row,
         on prefix-closed words listed prefixes first; one product per
-        word: row(w) = row(w[:-1]) mu(last letter), over the lcms of
-        lambda and of each mu(letter)."""
-        cols = {}
-        for a, mat in self.mu.items():
-            D, flat = _over_lcm(sum(mat, ()))
-            cols[a] = D, [flat[j::self.n] for j in range(self.n)]
-        rows = {(): _over_lcm(self.lam)}
+        word: row(w) = row(w[:-1]) mu(last letter)."""
+        rows = {(): self._lam_int}
         for w in words:
             if w not in rows:
-                (D, row), (M, mat) = rows[w[:-1]], cols[w[-1]]
+                (D, row), (M, mat) = rows[w[:-1]], self._cols[w[-1]]
                 rows[w] = D * M, [sum(map(mul, row, col)) for col in mat]
         return rows
 
+    def _value(self, D, row):
+        """<S|w> from the row of w: dotted with eta over the lcms."""
+        E, eta = self._eta_int
+        return Fraction(sum(map(mul, row, eta)), D * E)
+
     def _coefficients(self, words):
-        """Map w -> <S|w> on the words of _rows and their prefixes: each
-        row dotted with eta over its lcm (one Fraction per word)."""
-        E, eta = _over_lcm(self.eta)
-        return {w: Fraction(sum(map(mul, row, eta)), D * E)
-                for w, (D, row) in self._rows(words).items()}
+        """Map w -> <S|w> on the words of _rows and their prefixes."""
+        return {w: self._value(*r) for w, r in self._rows(words).items()}
 
     def coefficient(self, w):
-        """<S|w>, read off the sweep over the prefixes of w."""
+        """<S|w>, read off the sweep over the prefixes of w (one Fraction)."""
         w = tuple(w)
-        return self._coefficients([w[:i] for i in range(1, len(w) + 1)])[w]
+        rows = self._rows([w[:i] for i in range(1, len(w) + 1)])
+        return self._value(*rows[w])
 
     def truncated_series(self, depth):
         return NCPoly._new(self.alphabet, self._coefficients(

@@ -7,42 +7,45 @@ and y0 -- allowed in the extended alphabet Y0 -- is larger still).
 
 Lexicographic comparison extends the letter order with the usual
 "proper prefix is smaller" rule, which is exactly Python tuple
-comparison after mapping letters through the order key.
+comparison after mapping the word through word_key.
 
 A word l is Lyndon when it is nonempty and strictly smaller than every
 one of its proper suffixes.  Every word factors uniquely as a
 non-increasing concatenation of Lyndon words (Chen-Fox-Lyndon), and a
 Lyndon word of length >= 2 splits as l = s.r with r its longest proper
-Lyndon suffix (the standard factorization); s is then Lyndon too.
+Lyndon suffix (the standard factorization, r the last CFL factor of l[1:]).
+
+lyndon_words walks the prenecklaces depth first in the alphabet order
+(Ruskey, Savage and Wang 1992): a with period p extends by any letter
+b >= a[-p], the period staying p when b = a[-p] and becoming len(a) + 1
+otherwise; a is Lyndon when its period is its length.  Length and weight
+never fall along the walk, so every bound given prunes it (an X word's
+weight is its length), and the words come out in increasing order.
 
 Serialization: words print as space-separated letter names, "x0 x1 x1"
 or "y2 y1".
 """
 
-from fractions import Fraction
-from math import gcd
+from itertools import groupby
+from math import inf
 
 X, Y, Y0 = "X", "Y", "Y0"
 
 
-def letter_key(alphabet):
-    """Order key for letters: X natural, Y/Y0 reversed (y_i < y_j iff i > j)."""
-    if alphabet == X:
-        return lambda a: a
-    return lambda a: -a
-
-
 def word_key(w, alphabet=X):
-    """Tuple usable with < to compare words in the alphabet's lexicographic order."""
-    k = letter_key(alphabet)
-    return tuple(k(a) for a in w)
+    """Tuple usable with < to compare words in the alphabet's lexicographic
+    order: X letters as they are, Y/Y0 letters negated (y_i < y_j iff i > j)."""
+    return tuple(w) if alphabet == X else tuple(-a for a in w)
+
+
+def _grading(alphabet):
+    """The degree of a word: len over X, the weight (letter sum) over Y/Y0."""
+    return len if alphabet == X else sum
 
 
 def weight(w, alphabet=X):
     """X-words: the length.  Y/Y0-words: the sum of the letter indices."""
-    if alphabet == X:
-        return len(w)
-    return sum(w)
+    return _grading(alphabet)(w)
 
 
 def is_lyndon(w, alphabet=X):
@@ -56,16 +59,16 @@ def is_lyndon(w, alphabet=X):
 def cfl_factors(w, alphabet=X):
     """Chen-Fox-Lyndon factorization of w as a flat non-increasing list of Lyndon words.
 
-    Duval's linear-time algorithm, run on the order-keyed letters.
+    Duval's linear-time algorithm, run on the word's order key.
     """
-    k = letter_key(alphabet)
+    k = word_key(w, alphabet)
     out = []
     n = len(w)
     start = 0
     while start < n:
         i, j = start, start + 1
-        while j < n and k(w[i]) <= k(w[j]):
-            i = start if k(w[i]) < k(w[j]) else i + 1
+        while j < n and k[i] <= k[j]:
+            i = start if k[i] < k[j] else i + 1
             j += 1
         period = j - i
         while start <= i:
@@ -73,41 +76,19 @@ def cfl_factors(w, alphabet=X):
             start += period
     return out
 
+
 def lyndon_decompose(w, alphabet=X):
     """CFL factorization grouped as [(l1, i1), ..., (lk, ik)], l1 > ... > lk."""
-    grouped = []
-    for f in cfl_factors(w, alphabet):
-        if grouped and grouped[-1][0] == f:
-            grouped[-1][1] += 1
-        else:
-            grouped.append([f, 1])
-    return [(l, m) for l, m in grouped]
+    return [(l, len(list(g))) for l, g in groupby(cfl_factors(w, alphabet))]
 
 
 def standard_factorization(l, alphabet=X):
-    """Split a Lyndon word l (|l| >= 2) as (s, r), r the longest proper Lyndon suffix."""
+    """Split a Lyndon word l (|l| >= 2) as (s, r), r the longest proper Lyndon
+    suffix: the last CFL factor of l[1:], its smallest suffix."""
     if len(l) < 2 or not is_lyndon(l, alphabet):
         raise ValueError("standard_factorization needs a Lyndon word of length >= 2")
-    for i in range(1, len(l)):
-        if is_lyndon(l[i:], alphabet):
-            return l[:i], l[i:]
-    raise AssertionError("unreachable: the last letter is always Lyndon")
-
-
-def _lyndon_words_x(max_length):
-    # Duval's enumeration of binary Lyndon words of length <= max_length,
-    # produced in increasing lexicographic order.
-    out = []
-    w = [-1]
-    while w:
-        w[-1] += 1
-        out.append(tuple(w))
-        m = len(w)
-        while len(w) < max_length:
-            w.append(w[len(w) - m])
-        while w and w[-1] == 1:
-            w.pop()
-    return out
+    r = cfl_factors(l[1:], alphabet)[-1]
+    return l[:-len(r)], r
 
 
 def _compositions(total):
@@ -120,55 +101,45 @@ def _compositions(total):
             yield (first,) + rest
 
 
-def _lyndon_words_y(max_weight):
-    out = []
-    for wt in range(1, max_weight + 1):
-        for w in _compositions(wt):
-            if is_lyndon(w, Y):
-                out.append(w)
-    out.sort(key=lambda w: word_key(w, Y))
-    return out
-
-
-def _lyndon_words_y0(max_weight, max_length):
-    # y0 has weight 0, so a weight bound alone admits infinitely many Lyndon
-    # words (y2 y0^k for every k); a length bound is required as well.
-    out = []
-
-    def rec(prefix, wt):
-        if prefix and is_lyndon(prefix, Y0) and weight(prefix, Y0) <= max_weight:
-            out.append(prefix)
-        if len(prefix) == max_length:
-            return
-        for a in range(0, max_weight - wt + 1):
-            rec(prefix + (a,), wt + a)
-
-    rec((), 0)
-    out.sort(key=lambda w: word_key(w, Y0))
-    return out
-
-
 def lyndon_words(alphabet, max_length=None, max_weight=None):
-    """All Lyndon words within the bound, sorted increasingly in the alphabet order.
+    """All Lyndon words within the bounds, sorted increasingly in the alphabet order.
 
-    X takes max_length; Y takes max_weight (it is infinite, so a pure length
-    bound is rejected); Y0 needs both max_weight and max_length, because y0
-    has weight 0 and e.g. every y2 y0^k is Lyndon.
+    Every bound given applies; an X word's weight is its length.  X needs
+    max_length; Y needs max_weight (it is infinite, so a pure length bound
+    is rejected); Y0 needs both, because y0 has weight 0 and e.g. every
+    y2 y0^k is Lyndon.
     """
     if alphabet == X:
         if max_length is None:
             raise ValueError("X enumeration needs max_length")
-        return _lyndon_words_x(max_length)
-    if alphabet == Y:
+        letters = range(2)
+    elif alphabet == Y:
         if max_weight is None:
             raise ValueError("Y is infinite: enumerate by max_weight, not max_length")
-        return _lyndon_words_y(max_weight)
-    if alphabet == Y0:
+        letters = range(max_weight, 0, -1)
+    elif alphabet == Y0:
         if max_weight is None or max_length is None:
             raise ValueError("Y0 needs both max_weight and max_length "
                              "(y0 has weight 0, so weight alone is not finite)")
-        return _lyndon_words_y0(max_weight, max_length)
-    raise ValueError("unknown alphabet %r" % (alphabet,))
+        letters = range(max_weight, -1, -1)
+    else:
+        raise ValueError("unknown alphabet %r" % (alphabet,))
+    max_length = inf if max_length is None else max_length
+    max_weight = inf if max_weight is None else max_weight
+    grade = _grading(alphabet)
+    out = []
+    # (prenecklace, period, weight), the smallest popped first
+    stack = [((), 0, 0)]
+    while stack:
+        w, p, wt = stack.pop()
+        if w and p == len(w):
+            out.append(w)
+        if len(w) < max_length:
+            for b in reversed(letters[letters.index(w[-p]) if w else 0:]):
+                v = wt + grade((b,))
+                if v <= max_weight:
+                    stack.append((w + (b,), p if w and b == w[-p] else len(w) + 1, v))
+    return out
 
 
 def lyndon_count_binary(n):

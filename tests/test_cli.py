@@ -49,6 +49,30 @@ def test_lyndon_y_needs_weight(capsys):
     assert "max_weight" in err
 
 
+def test_lyndon_applies_every_bound(capsys):
+    code, out, _ = run(capsys, "lyndon", "--alphabet", "Y",
+                       "--max-weight", "4", "--max-len", "2")
+    assert code == 0
+    assert out.splitlines() == ["y4", "y3", "y3 y1", "y2", "y2 y1", "y1"]
+    code, out, _ = run(capsys, "lyndon", "--alphabet", "X",
+                       "--max-len", "3", "--max-weight", "1")
+    assert code == 0
+    assert out.splitlines() == ["x0", "x1"]
+    code, out = run_json(capsys, "--format", "json", "table", "dual-bases",
+                         "--alphabet", "X", "--max-len", "3",
+                         "--max-weight", "2")
+    assert code == 0
+    assert [r["lyndon"] for r in out["rows"]] == ["x0", "x0 x1", "x1"]
+
+
+def test_lyndon_y0_past_the_recursion_limit(capsys):
+    code, out = run_json(capsys, "--format", "json", "lyndon", "--alphabet",
+                         "Y0", "--max-weight", "1", "--max-len", "2000")
+    assert code == 0
+    assert out["count"] == 2001
+    assert out["words"][-2:] == ["y1" + " y0" * 1999, "y0"]
+
+
 def test_table_dual_bases_json(capsys):
     code, out = run_json(capsys, "--format", "json", "table", "dual-bases",
                          "--alphabet", "X", "--max-len", "3")

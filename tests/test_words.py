@@ -1,7 +1,9 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import divisors, mobius
 
 from ncgen.words import (
     X, Y, Y0,
@@ -76,6 +78,64 @@ def test_lyndon_words_y0_needs_both_bounds():
         lyndon_words(X)
 
 
+def test_lyndon_words_apply_every_bound():
+    # an X word's weight is its length; a Y length bound cuts y2 y1 y1
+    assert lyndon_words(X, max_length=3, max_weight=1) == [(0,), (1,)]
+    assert lyndon_words(Y, max_weight=4, max_length=2) == [
+        w for w in lyndon_words(Y, max_weight=4) if len(w) <= 2]
+
+
+def test_lyndon_words_y0_past_the_recursion_limit():
+    # y1 y0^k for k = 0..1999, then y0 (the largest letter)
+    assert lyndon_words(Y0, max_weight=1, max_length=2000) == [
+        (1,) + (0,) * k for k in range(2000)] + [(0,)]
+
+
+# (max_length, max_weight) of the region the brute force lists once
+_BRUTE_REGION = {X: (9, 9), Y: (8, 8), Y0: (6, 4)}
+
+
+@functools.cache
+def _lyndon_by_brute_force(alphabet):
+    """Every word of the region, grown letter by letter, kept when Lyndon,
+    sorted in the alphabet order."""
+    max_length, max_weight = _BRUTE_REGION[alphabet]
+    letters = {X: (0, 1), Y: range(1, max_weight + 1),
+               Y0: range(max_weight + 1)}[alphabet]
+    layer, out = [()], []
+    for _ in range(max_length):
+        layer = [w + (a,) for w in layer for a in letters
+                 if weight(w + (a,), alphabet) <= max_weight]
+        out += [w for w in layer if is_lyndon(w, alphabet)]
+    return sorted(out, key=lambda w: word_key(w, alphabet))
+
+
+@given(st.sampled_from([X, Y, Y0]), st.data())
+def test_lyndon_words_against_brute_force(alphabet, data):
+    # X needs a length, Y a weight and Y0 both; any other bound is optional
+    region_length, region_weight = _BRUTE_REGION[alphabet]
+    length = st.integers(0, region_length)
+    wt = st.integers(0, region_weight)
+    max_length = data.draw(length if alphabet != Y else st.none() | length)
+    max_weight = data.draw(wt if alphabet != X else st.none() | wt)
+    expected = [w for w in _lyndon_by_brute_force(alphabet)
+                if (max_length is None or len(w) <= max_length)
+                and (max_weight is None or weight(w, alphabet) <= max_weight)]
+    assert lyndon_words(alphabet, max_length=max_length,
+                        max_weight=max_weight) == expected
+
+
+def test_lyndon_y_counts_per_weight():
+    # Lyndon compositions of n: (1/n) sum_{d|n} mu(n/d) (2^d - 1)
+    counts = [0] * 17
+    for w in lyndon_words(Y, max_weight=16):
+        counts[sum(w)] += 1
+    for n in range(1, 17):
+        assert counts[n] * n == sum(mobius(n // d) * (2 ** d - 1)
+                                    for d in divisors(n)), n
+    assert counts[1:9] == [1, 1, 2, 3, 6, 9, 18, 30]
+
+
 def test_lyndon_words_y0_small():
     got = set(lyndon_words(Y0, max_weight=2, max_length=3))
     assert got == {(0,), (1,), (2,), (1, 0), (2, 0),
@@ -121,6 +181,17 @@ def test_standard_factorization_examples():
         standard_factorization((0,))
     with pytest.raises(ValueError):
         standard_factorization((1, 0))
+
+
+def test_standard_factorization_is_the_longest_lyndon_suffix():
+    for alphabet, l in itertools.chain(
+            ((X, l) for l in lyndon_words(X, max_length=10)),
+            ((Y, l) for l in lyndon_words(Y, max_weight=9)),
+            ((Y0, l) for l in lyndon_words(Y0, max_weight=3, max_length=6))):
+        if len(l) < 2:
+            continue
+        i = next(i for i in range(1, len(l)) if is_lyndon(l[i:], alphabet))
+        assert standard_factorization(l, alphabet) == (l[:i], l[i:]), l
 
 
 def test_standard_factorization_order_property():
