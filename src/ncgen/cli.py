@@ -163,10 +163,8 @@ def cmd_table(args):
                                max_weight=args.max_weight)
         except ValueError as exc:
             raise CLIError(str(exc)) from None
-        if alphabet == X:
-            pairs = [(hopf.pbw_p(l), hopf.dual_s(l)) for l in lws]
-        else:
-            pairs = [(hopf.pbw_pi(l), hopf.dual_sigma(l)) for l in lws]
+        pbw, dual = hopf.basis_pair(alphabet)
+        pairs = [(pbw(l), dual(l)) for l in lws]
         names = [word_to_str(l, alphabet) for l in lws]
         _emit(args, lambda: {"alphabet": alphabet, "rows": [
             {"lyndon": name, "p": p.to_json_dict()["terms"],
@@ -227,8 +225,7 @@ def verify_duality(args):
     depth = args.depth or 4
     alphabet = args.alphabet
     ws = [w for w in words_up_to(alphabet, depth) if w]
-    pbw, dual = ((hopf.pbw_p, hopf.dual_s) if alphabet == X
-                 else (hopf.pbw_pi, hopf.dual_sigma))
+    pbw, dual = hopf.basis_pair(alphabet)
     cols = {}  # the P basis transposed: cols[w] = {v: <P_v | w>}
     for v in ws:
         for w, c in pbw(v).terms.items():

@@ -8,27 +8,30 @@ Shuffle side (alphabet X, also works verbatim over Y):
     by i1!...ik!, and satisfies <S_u | P_v> = delta_{u,v}.
 
 Quasi-shuffle side (alphabet Y): same bracketing with the primitive
-projector pi1 applied to letters, Pi_y = pi1(y).  The dual family Sigma
-is pinned by <Pi_u | Sigma_v> = delta_{u,v}; since Pi_w = w + (strictly
-larger words of the same weight), every word peels (ncpoly.peel) into
-the Pi basis, and <w | Sigma_v> is the Pi_v coordinate of the word w.
-For non-Lyndon words Sigma also satisfies the stuffle-power product
-formula, which the tests check against the peeled block.
+projector pi1 applied to letters, Pi_y = pi1(y).  The dual family is
+Sigma_w = exp(S_w), S_w the shuffle dual over Y and exp Hoffman's
+isomorphism from the shuffle to the quasi-shuffle algebra (blocks of j
+consecutive letters contracted, weight 1/j!): the transpose of its
+inverse is the conc-morphism y -> pi1(y), which maps P_w over Y to Pi_w,
+so <Pi_u | Sigma_v> = delta_{u,v} with no elimination.  For non-Lyndon
+words Sigma also satisfies the stuffle-power product formula.
 
 pi1 is the convolution logarithm of the identity restricted to the
 augmentation ideal: pi1(w) = sum_{k>=1} ((-1)^(k-1)/k) conc o reduced
 Delta_st^(k-1) (w).  Its image spans the primitives of the
 quasi-shuffle Hopf algebra.
 
-Caches: P and Pi (`_pbw`, keyed by word and alphabet), S (`_dual_s`),
-pi1 on words (`_pi1_word`) and the Sigma block of each weight
-(`_sigma_block`) are `functools.cache`s, so `_pbw.cache_info()` and so on
-report hits, misses and size.  The public names call them with tuple(w).
+Caches: P and Pi (`_pbw`) and the shuffle duals S (`_dual_s`), each keyed
+by word and alphabet, pi1 (`_pi1_word`), exp (`_exp`) and Sigma
+(`_dual_sigma`) on words are `functools.cache`s, so `_pbw.cache_info()`
+and so on report hits, misses and size.  The public names call them with
+tuple(w).  basis_pair picks the (P, S) pair of an alphabet.
 """
 
 import functools
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, prod
 
 from .ncpoly import (
     NCPoly, _bilinear, _linear, _word_coproduct, conc, peel, shuffle,
@@ -68,25 +71,26 @@ def pbw_p(w):
 
 
 @functools.cache
-def _dual_s(w):
-    """S_w.  A Lyndon w = xu gives x S_u: the loop walks the Lyndon suffixes
-    and the first suffix that is not Lyndon (or empty) is the one recursion,
-    so a miss does not recurse once per letter."""
+def _dual_s(w, alphabet):
+    """S_w over X, and over Y the shuffle dual whose image under Hoffman's
+    exp is Sigma_w.  A Lyndon w = au gives a S_u: the loop walks the Lyndon
+    suffixes and the first suffix that is not Lyndon (or empty) is the one
+    recursion, so a miss does not recurse once per letter."""
     k = 0
-    while k < len(w) and is_lyndon(w[k:]):
+    while k < len(w) and is_lyndon(w[k:], alphabet):
         k += 1
     if k:
-        return conc(NCPoly.word(w[:k], X), _dual_s(w[k:]))
-    out = NCPoly.one(X)
-    for l, mult in lyndon_decompose(w):
-        out = shuffle(out, shuffle_power(_dual_s(l), mult))
+        return conc(NCPoly.word(w[:k], alphabet), _dual_s(w[k:], alphabet))
+    out = NCPoly.one(alphabet)
+    for l, mult in lyndon_decompose(w, alphabet):
+        out = shuffle(out, shuffle_power(_dual_s(l, alphabet), mult))
         out = out.scale(Fraction(1, factorial(mult)))
     return out
 
 
 def dual_s(w):
     """Dual PBW basis element S_w over X: <S_u | P_v> = delta_{u,v}."""
-    return _dual_s(tuple(w))
+    return _dual_s(tuple(w), X)
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +138,34 @@ def pbw_pi(w):
 
 
 @functools.cache
-def _sigma_block(n):
-    """Map word -> Sigma_w expansion for all Y-words of weight n."""
-    ws = sorted(_compositions(n), key=lambda w: word_key(w, Y))
-    # w = sum_v <w | Sigma_v> Pi_v; the sorted order fixes the term order
-    cols = {v: {} for v in ws}
-    for w in ws:
-        for v, c in decompose_in_basis(NCPoly.word(w, Y), "Pi").items():
-            cols[v][w] = c
-    return {v: NCPoly(Y, col) for v, col in cols.items()}
+def _exp(w):
+    """Hoffman's exp on a Y-word: over the compositions (j1, ..., jm) of |w|,
+    each block of j consecutive letters contracted into one letter (the sum
+    of the block), weighted 1/(j1! ... jm!).  Letters >= 1 make the
+    contracted words distinct: their prefix sums are the cut points."""
+    out = {}
+    for js in _compositions(len(w)):
+        cuts = list(accumulate(js, initial=0))
+        out[tuple(sum(w[a:b]) for a, b in zip(cuts, cuts[1:]))] = Fraction(
+            1, prod(map(factorial, js)))
+    return out
+
+
+@functools.cache
+def _dual_sigma(w):
+    # sorted in the word order, so float sums over Sigma_w keep one order
+    terms = _linear(_dual_s(w, Y).terms, _exp)
+    return NCPoly._new(Y, dict(sorted(
+        terms.items(), key=lambda t: word_key(t[0], Y))), None)
 
 
 def dual_sigma(w):
-    """Dual quasi-shuffle basis element Sigma_w: <Pi_u | Sigma_v> = delta_{u,v}."""
+    """Dual quasi-shuffle basis element Sigma_w = exp(S_w), S_w over Y:
+    <Pi_u | Sigma_v> = delta_{u,v}."""
     w = tuple(w)
-    if not w:
-        return NCPoly.one(Y)
-    return _sigma_block(sum(w))[w]
+    if any(a < 1 for a in w):
+        raise ValueError("Sigma acts on Y-words (letters y_k, k >= 1)")
+    return _dual_sigma(w)
 
 
 def sigma_by_products(w):
@@ -160,6 +175,12 @@ def sigma_by_products(w):
         out = stuffle(out, stuffle_power(dual_sigma(l), mult))
         out = out.scale(Fraction(1, factorial(mult)))
     return out
+
+
+def basis_pair(alphabet):
+    """(P, S) over X, (Pi, Sigma) over Y: the PBW basis of an alphabet and
+    its dual, looked up when called, so a replaced module name is seen."""
+    return (pbw_p, dual_s) if alphabet == X else (pbw_pi, dual_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +226,9 @@ def _tensor_mul(A, B, first_product, depth, degree):
 def diagonal_factorization_check(alphabet, depth):
     """Exact check: sum_w S_w (x) P_w equals the ordered product of
     exp(S_l (x) P_l) over Lyndon words, truncated at the given degree."""
-    if alphabet == X:
-        lynd = lyndon_words(X, max_length=depth)
-        dual, pbw, first_product = dual_s, pbw_p, shuffle_words
-    else:
-        lynd = lyndon_words(Y, max_weight=depth)
-        dual, pbw, first_product = dual_sigma, pbw_pi, stuffle_words
+    pbw, dual = basis_pair(alphabet)
+    first_product = shuffle_words if alphabet == X else stuffle_words
+    lynd = lyndon_words(alphabet, max_length=depth, max_weight=depth)
     degree = _grading(alphabet)
 
     def tensor(coords):  # sum <S_w | u> u (x) P_w over the keys (w, u)

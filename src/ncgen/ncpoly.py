@@ -21,8 +21,8 @@ duality <Delta(w) | u(x)v> = <w | u*v> is what the tests pin down.
 Residuals (shifts): (P <| S) has coefficients <S | wP> (strip P from the
 right), (S |> P) has <S | Pw> (strip P from the left).
 
-peel is the one exact elimination, behind basis coordinates, the Sigma
-blocks and the Hankel rank.
+peel is the one exact elimination, behind basis coordinates and the
+Hankel rank.
 
 _bilinear is the one bilinear kernel: conc, shuffle, stuffle, the
 coproducts and the residuals here, and the Lie bracket and the tensor

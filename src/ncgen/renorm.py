@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ncgen.hopf import dual_s, dual_sigma, pbw_p, pbw_pi
+from ncgen.hopf import basis_pair
 from ncgen.ncpoly import NCPoly, series_exp, words_up_to
 from ncgen.polylog import harmonic, harmonic_float, polylog_eval
 from ncgen.words import X, Y, lyndon_words, pi_x_word
@@ -50,7 +50,7 @@ def _lyndon_product(alphabet, depth, value):
     value(v) is the float that the character takes on the word v.  A
     factor with a zero coefficient is 1 and skipped; {(): 1.0} at depth 0.
     """
-    dual, pbw = (dual_s, pbw_p) if alphabet == X else (dual_sigma, pbw_pi)
+    pbw, dual = basis_pair(alphabet)
     out = NCPoly(alphabet, {(): 1.0}, depth)
     for l in reversed(lyndon_words(alphabet, max_length=depth,
                                    max_weight=depth)):

@@ -640,6 +640,11 @@ EXACT_OUTPUT = [
      "4ab103c36c6ca3d09a3231e96ac1e27d46efa60c23a31cddcecf18466b902636"),
     (["--format", "json", "table", "eulerian", "--max-n", "6"],
      "a091527e488cece0bf9fa44dcace5d19d1f8935ccdd14bca291b2a53bb9ae32d"),
+    (["--format", "json", "table", "pi-sigma", "--max-weight", "8"],
+     "f07e527fe52c011ef19dddca4eea46193611d689e274ee3c444b555d4c93a553"),
+    (["--format", "json", "table", "dual-bases", "--alphabet", "Y",
+      "--max-weight", "8"],
+     "81c069bdeecbf27be0d4da0aa32db3792dda5a1391a6e6b9442630776fb05407"),
 ]
 
 
@@ -679,8 +684,8 @@ _BUILTIN_SYSTEMS = {
 _FORMS = ["--z", "0.4", "--depth", "10"]
 _DRIFT = ["--T", "0.1", "--controls", "1.0,0.5", "--depth", "8"]
 
-# sha256 of the stdout of float runs through the ODE, Chen and Fliess
-# layers at 17 digits; (builtin system or None, argv, digest)
+# sha256 of the stdout of float runs through the ODE, Chen, Fliess and
+# renormalization layers at 17 digits; (builtin system or None, argv, digest)
 FLOAT_OUTPUT = [
     ("hypergeometric", _FORMS,
      "1db982942a8d19beab58ff47dc13c46d1a974e0ba3686d1c8d8d624629008258"),
@@ -698,6 +703,11 @@ FLOAT_OUTPUT = [
      "903916156f91600cac1de2ca765561faac36e9d2b7228c9af5ee313a605e57c9"),
     (None, ["--precision", "17", "verify", "dynsys", "--depth", "8"],
      "e57031c9c11047f2717243139292948a2957fb21206d3e6c43f8cd129dba4b33"),
+    # the float sums over Sigma_l in Z_st show a change of term order
+    (None, ["--precision", "17", "verify", "bridge", "--depth", "6"],
+     "0ca7a57f74edb3c18da77d937952d6a1213ec22e7f8a6ad2eb3704b7624e5df1"),
+    (None, ["--precision", "17", "verify", "bridge", "--depth", "8"],
+     "e338d1505c58b17909e538bb9150a7b1a29165f5f7f895f4c10d83ee54d63d29"),
 ]
 
 

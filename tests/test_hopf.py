@@ -3,13 +3,17 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
 from ncgen.hopf import (
-    decompose_in_basis, diagonal_factorization_check, dual_s, dual_sigma,
-    pbw_p, pbw_pi, pi1, pi1_word, recompose_from_basis, sigma_by_products,
+    _exp, decompose_in_basis, diagonal_factorization_check, dual_s,
+    dual_sigma, pbw_p, pbw_pi, pi1, pi1_word, recompose_from_basis,
+    sigma_by_products,
 )
 from ncgen.ncpoly import (
-    NCPoly, conc, coproduct_stuffle, pi_y_poly, residual_left, residual_right,
-    words_up_to,
+    NCPoly, _linear, conc, coproduct_stuffle, pi_y_poly, residual_left,
+    residual_right, shuffle_words, stuffle, words_up_to,
 )
 from ncgen.words import X, Y, lyndon_words, weight
 
@@ -198,6 +202,35 @@ def test_sigma_weight_seven():
             got = sum((c * pbw_pi(v).coeff(w) for w, c in su.terms.items()),
                       Fraction(0))
             assert got == Fraction(int(u == v)), (u, v)
+
+
+def test_sigma_weight_eight_is_the_pi_coordinate():
+    # the exact elimination is the reference: w = sum_v <w | Sigma_v> Pi_v
+    ws = [w for w in words_up_to(Y, 8) if sum(w) == 8]
+    cols = {v: {} for v in ws}
+    for w in ws:
+        for v, c in decompose_in_basis(NCPoly.word(w, Y), "Pi").items():
+            cols[v][w] = c
+    for v in ws:
+        assert dual_sigma(v).terms == cols[v], v
+
+
+@pytest.mark.parametrize("w", [(0,), (0, 1), (1, 0), (2, 0, 1), (1, -1)])
+def test_sigma_refuses_letters_below_one(w):
+    with pytest.raises(ValueError, match=r"^Sigma acts on Y-words"):
+        dual_sigma(w)
+
+
+_yword = st.lists(st.integers(1, 3), max_size=4).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_yword, _yword)
+def test_exp_sends_shuffle_to_stuffle(u, v):
+    # Hoffman's exp is an algebra morphism from sh to st over Y
+    assume(sum(u) + sum(v) <= 8)
+    lhs = NCPoly(Y, _linear(shuffle_words(u, v), _exp))
+    assert lhs == stuffle(NCPoly(Y, _exp(u)), NCPoly(Y, _exp(v)))
 
 
 # -- basis decomposition ----------------------------------------------

@@ -16,7 +16,7 @@ from ncgen.negpolylog import h_neg, li_neg
     (pbw_p, [0, 1, 1], hopf._pbw),
     (pbw_pi, [2, 1], hopf._pbw),
     (dual_s, [0, 0, 1, 1], hopf._dual_s),
-    (dual_sigma, [1, 2], None),
+    (dual_sigma, [1, 2], hopf._dual_sigma),
     (pi1_word, [1, 2, 1], hopf._pi1_word),
     (li_neg, [2, 0, 1], negpolylog._li_neg),
     (h_neg, [1, 3], negpolylog._h_neg),
