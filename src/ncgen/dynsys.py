@@ -19,9 +19,12 @@ function, _alphas, integrates the word ODE on any suffix-closed word
 list: every word up to a depth for chen_ode, the suffixes of one word
 for iterated_integral.  For ordinary (non-singular) constant controls on
 [0, T] the coefficients collapse to u_{i1}...u_{ik} T^k/k!.  Every ODE
-here is solved by one call, _solve: scipy's DOP853 with rtol 1e-12 and
-atol 1e-14.  The output is one sum, _pair, whether the coefficients
-come from the vector fields or from a linear representation.
+here is solved by one call, _solve: the DOP853 Runge-Kutta pair of
+Hairer, Norsett & Wanner (Solving Ordinary Differential Equations I,
+sections II.4-II.5) with rtol 1e-12 and atol 1e-14, a numpy loop that
+takes the steps scipy's BSD-3 solve_ivp takes and gives the same floats,
+so ncgen needs numpy alone.  The output is one sum, _pair, whether the
+coefficients come from the vector fields or from a linear representation.
 """
 
 import json
@@ -29,7 +32,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ncgen.ncpoly import NCPoly, words_up_to
 from ncgen.hopf import dual_s, pbw_p
@@ -195,12 +197,149 @@ class PolySystem:
 # ---------------------------------------------------------------------------
 # Chen series of the two singular forms
 
+# DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations
+# I, 2nd ed., sections II.4-II.5; their dop853.f): nodes _C, stage rows _A
+# (strict lower triangle), weights _B, and the order-5 and order-3 error
+# rows _E5, _E3 over the 12 stages and f(t + h, y_new).
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142, 1.0])
+_A = np.zeros((12, 12))
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2,
+             5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0,
+             8.87627564304205475450678981324e-2]
+_A[4, :4] = [2.41365134159266685502369798665e-1, 0,
+             -8.84549479328286085344864962717e-1,
+             9.24834003261792003115737966543e-1]
+_A[5, :5] = [3.7037037037037037037037037037e-2, 0, 0,
+             1.70828608729473871279604482173e-1,
+             1.25467687566822425016691814123e-1]
+_A[6, :6] = [3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+             6.02165389804559606850219397283e-2, -1.7578125e-2]
+_A[7, :7] = [3.70920001185047927108779319836e-2, 0, 0,
+             1.70383925712239993810214054705e-1,
+             1.07262030446373284651809199168e-1,
+             -1.53194377486244017527936158236e-2,
+             8.27378916381402288758473766002e-3]
+_A[8, :8] = [6.24110958716075717114429577812e-1, 0, 0,
+             -3.36089262944694129406857109825,
+             -8.68219346841726006818189891453e-1,
+             2.75920996994467083049415600797e1,
+             2.01540675504778934086186788979e1,
+             -4.34898841810699588477366255144e1]
+_A[9, :9] = [4.77662536438264365890433908527e-1, 0, 0,
+             -2.48811461997166764192642586468,
+             -5.90290826836842996371446475743e-1,
+             2.12300514481811942347288949897e1,
+             1.52792336328824235832596922938e1,
+             -3.32882109689848629194453265587e1,
+             -2.03312017085086261358222928593e-2]
+_A[10, :10] = [-9.3714243008598732571704021658e-1, 0, 0,
+               5.18637242884406370830023853209,
+               1.09143734899672957818500254654,
+               -8.14978701074692612513997267357,
+               -1.85200656599969598641566180701e1,
+               2.27394870993505042818970056734e1,
+               2.49360555267965238987089396762,
+               -3.0467644718982195003823669022]
+_A[11, :11] = [2.27331014751653820792359768449, 0, 0,
+               -1.05344954667372501984066689879e1,
+               -2.00087205822486249909675718444,
+               -1.79589318631187989172765950534e1,
+               2.79488845294199600508499808837e1,
+               -2.85899827713502369474065508674,
+               -8.87285693353062954433549289258,
+               1.23605671757943030647266201528e1,
+               6.43392746015763530355970484046e-1]
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0, 0, 0, 0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2])
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0, 0, 0, 0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1, 0])
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512,
+                    0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+_RTOL, _ATOL = 1e-12, 1e-14
+
+
+def _rms(v):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
 def _solve(rhs, t0, t1, y0):
-    """y(t1) for y' = rhs(t, y), y(t0) = y0; RuntimeError if it fails."""
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    return sol.y[:, -1]
+    """y(t1) for y' = rhs(t, y), y(t0) = y0; RuntimeError if it fails.
+
+    DOP853 with rtol 1e-12 and atol 1e-14, stepped as scipy's solve_ivp
+    steps it (scipy.integrate._ivp, BSD-3; the same operations in the same
+    order, so the same floats): Hairer's starting step, the 3/5 error
+    pair's norm, and a step factor 0.9 err^(-1/8) kept within [0.2, 10],
+    at most 1 straight after a rejection.  rhs returns a float array.
+    """
+    t, t1 = float(t0), float(t1)
+    y = np.array(y0, dtype=float)
+    if t == t1:
+        return y
+    direction = 1.0 if t1 > t else -1.0
+    f = rhs(t, y)
+    # the starting step (Hairer, Norsett & Wanner, II.4)
+    span = abs(t1 - t)
+    scale = _ATOL + np.abs(y) * _RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((rhs(t + h0 * direction, y + h0 * direction * f) - f)
+              / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, span)
+    K = np.empty((13, y.size))
+    while direction * (t - t1) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too: it would never shrink
+                raise RuntimeError(
+                    "Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 12):
+                K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = rhs(t + h, y_new)
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+            e5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            if e5 == 0 and e3 == 0:
+                err = 0.0
+            else:
+                err = h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
 
 
 def _alphas(ws, z0, z1):

@@ -1,16 +1,23 @@
 """Polynomial systems, Chen series, Fliess outputs, and their oracles."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from ncgen.dynsys import (
     PolySystem,
     StatePoly,
     VectorField,
+    _solve,
     chen_drift,
     chen_ode,
     dyson_output,
@@ -254,3 +261,92 @@ def test_forms_need_a_segment_inside_the_unit_interval(name, z):
     with pytest.raises(ValueError,
                        match=r"^segment must stay inside \(0, 1\)$"):
         _FORMS_CALLS[name](z)
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 loop against scipy's solve_ivp, which it follows step for step
+
+@st.composite
+def _ode_problems(draw):
+    """(rhs, t0, t1, y0): y' = A y, y' = A y + B sin(y) + cos(t), or
+    y' = A y / z + B y / (1 - z) on a segment inside (0, 1); size 1-6,
+    either direction, t0 == t1 among them."""
+    kind = draw(st.sampled_from(["linear", "nonlinear", "forms"]))
+    n = draw(st.integers(1, 6))
+    entries = st.floats(-1, 1)
+    A, B = (np.array(draw(st.lists(entries, min_size=n * n,
+                                   max_size=n * n))).reshape(n, n)
+            for _ in range(2))
+    y0 = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    ends = st.floats(0.05, 0.95) if kind == "forms" else st.floats(-1, 1)
+    t0 = draw(ends)
+    t1 = draw(st.one_of(st.just(t0), ends))
+    rhs = {"linear": lambda t, y: A @ y,
+           "nonlinear": lambda t, y: A @ y + B @ np.sin(y) + np.cos(t),
+           "forms": lambda z, y: (A @ y) / z + (B @ y) / (1.0 - z)}[kind]
+    return rhs, t0, t1, y0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ode_problems())
+def test_solve_agrees_with_scipy_dop853(problem):
+    # each step holds its error estimate within 1e-14 + 1e-12 |y|; over
+    # these intervals both runs stay within 1e-10 relative of each other
+    # (with scipy 1.17.1 they are bit-identical)
+    rhs, t0, t1, y0 = problem
+    got = _solve(rhs, t0, t1, y0)
+    want = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12,
+                     atol=1e-14).y[:, -1]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * (1 + np.abs(want).max())
+    if t0 == t1:
+        assert np.array_equal(got, y0)
+
+
+def test_solve_fails_as_scipy_does():
+    # y' = y^2, y(0) = 1 blows up at t = 1
+    def rhs(t, y):
+        return y * y
+
+    with pytest.raises(RuntimeError) as ours:
+        _solve(rhs, 0.0, 2.0, np.array([1.0]))
+    sol = solve_ivp(rhs, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-12,
+                    atol=1e-14)
+    assert not sol.success
+    assert str(ours.value) == sol.message == (
+        "Required step size is less than spacing between numbers.")
+
+
+def test_solve_refuses_a_nan_slope():
+    # a NaN first slope makes a NaN first step, which no rejection shrinks
+    # (solve_ivp 1.17.1 loops forever here)
+    with pytest.raises(RuntimeError):
+        _solve(lambda t, y: y * np.nan, 0.0, 1.0, np.array([1.0]))
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = sys.modules["mpmath"] = None  # importing them fails
+import ncgen
+for module in pkgutil.iter_modules(ncgen.__path__):
+    importlib.import_module("ncgen." + module.name)
+from ncgen.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "dynsys", "--depth", "4"],
+    ["simulate", "--system", "tests/systems/hypergeometric.json",
+     "--z", "0.4"],
+])
+def test_runs_without_scipy_or_mpmath(argv):
+    # the package depends on numpy alone; the tests use scipy and mpmath
+    # as references
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, *argv], cwd=_ROOT,
+        env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
