@@ -381,7 +381,7 @@ def cmd_eval(args):
     if args.which == "hneg":
         from ncgen.negpolylog import h_neg
         word, alphabet = _parse_word(args.word)
-        if alphabet == X:
+        if word and alphabet == X:  # "e" parses as the empty X-word
             raise CLIError("hneg expects a Y/Y0 word such as 'y2 y1'")
         if args.n is not None:
             val = h_neg(word).eval(args.n)

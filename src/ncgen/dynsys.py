@@ -1,9 +1,10 @@
 """Polynomial input/state systems, Chen series, and Fliess expansions.
 
 A system is a family of polynomial vector fields A_i (one per letter),
-an observation polynomial f, and an initial state q0.  The generating
-series of f assigns to the word w = x_{i1}...x_{ik} the iterated
-directional derivative with the FIRST letter applied first:
+an observation polynomial f, and an initial state q0; its polynomials
+in the state are polylog.StatePolys.  The generating series of f
+assigns to the word w = x_{i1}...x_{ik} the iterated directional
+derivative with the FIRST letter applied first:
 
     <sigma(f)|w> = ( A_{ik}( ... A_{i2}( A_{i1}(f)) ... ) )(q0),
 
@@ -35,92 +36,9 @@ import numpy as np
 
 from ncgen.ncpoly import NCPoly, words_up_to
 from ncgen.hopf import dual_s, pbw_p
+from ncgen.polylog import StatePoly
 from ncgen.renorm import _check_segment
 from ncgen.words import X
-
-_ZERO = Fraction(0)
-
-
-class StatePoly:
-    """Polynomial function of the state q in Q^m: exponent tuple -> coef."""
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m, terms=None):
-        self.m = m
-        self.terms = {}
-        for e, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                self.terms[tuple(e)] = c
-
-    @classmethod
-    def const(cls, m, c):
-        return cls(m, {(0,) * m: c})
-
-    @classmethod
-    def coord(cls, m, j):
-        e = [0] * m
-        e[j] = 1
-        return cls(m, {tuple(e): 1})
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, _ZERO) + c
-        return StatePoly(self.m, t)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return StatePoly(self.m, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, StatePoly):
-            return self.scale(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, _ZERO) + c1 * c2
-        return StatePoly(self.m, t)
-
-    __rmul__ = __mul__
-
-    def diff(self, j):
-        t = {}
-        for e, c in self.terms.items():
-            if e[j]:
-                e2 = list(e)
-                e2[j] -= 1
-                t[tuple(e2)] = t.get(tuple(e2), _ZERO) + c * e[j]
-        return StatePoly(self.m, t)
-
-    def eval(self, q):
-        total = None
-        for e, c in self.terms.items():
-            v = c if isinstance(q[0], Fraction) else float(c)
-            for qi, ei in zip(q, e):
-                for _ in range(ei):
-                    v = v * qi
-            total = v if total is None else total + v
-        if total is None:
-            return Fraction(0) if (len(q) and isinstance(q[0], Fraction)) else 0.0
-        return total
-
-    def is_zero(self):
-        return not self.terms
-
-    def to_json_list(self):
-        return [{"exps": list(e), "coef": str(c)}
-                for e, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json_list(cls, m, data):
-        return cls(m, {tuple(item["exps"]): Fraction(item["coef"])
-                       for item in data})
-
-    def __repr__(self):
-        return "StatePoly(%r)" % (self.terms,)
 
 
 class VectorField:

@@ -25,12 +25,13 @@ peel is the one exact elimination, behind basis coordinates and the
 Hankel rank.
 
 _bilinear is the one bilinear kernel: conc, shuffle, stuffle, the
-coproducts and the residuals here, and the Lie bracket and the tensor
-product in hopf, each hand it their product of two keys.  It, peel and
-the linear combinations (_linear) run on integer numerators over one
-common denominator per operand (_numerators) and build one Fraction per
-output key (_values); float and ring coefficients (no denominator) take
-the values path through the same loops.  _linear also carries the
+coproducts and the residuals here, the Lie bracket and the tensor
+product in hopf, and the commutative product of polylog.StatePoly
+(exponent tuples added) each hand it their product of two keys.  It,
+peel and the linear combinations (_linear) run on integer numerators
+over one common denominator per operand (_numerators) and build one
+Fraction per output key (_values); float and ring coefficients (no
+denominator) take the values path through the same loops.  _linear also carries the
 duality pairing (cli), and _over_lcm the Taylor shift (polylog.QPoly) and
 the Hankel rows (rational).
 

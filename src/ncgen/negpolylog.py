@@ -21,8 +21,9 @@ need; longer words raise.  The first Faulhaber identity holds with the
 *inclusive* harmonic sum (innermost index allowed to reach 0), which
 only differs from H^- when the last shifted exponent is 0.
 
-Every polynomial here is a polylog.QPoly (the one univariate type), in
-t, N or z; theta0 is a QPoly product and the power tables use **.
+Every polynomial here is a polylog.QPoly (StatePoly in one variable),
+in t, N or z; theta0 is a QPoly product, the power tables use **, and
+the Eulerian numerator is one Taylor shift.
 
 Caches: `_li_neg`, `_h_neg` and `_faulhaber_B_poly` are `functools.cache`s
 keyed by the word (`cache_info()` reports hits, misses and size); li_neg,
@@ -159,14 +160,11 @@ def li_neg_numerator_z(m):
     Returns the Eulerian polynomial z * sum_k A_{m,k} z^k as a QPoly,
     computed from li_neg (the Eulerian recursion route is a test).
     """
-    p = li_neg((m,))
-    # N(z) = sum_k c_k (1-z)^(m+1-k) where p = sum c_k t^k
-    one_minus_z = QPoly([1, -1], "z")
-    out = QPoly([], "z")
-    for k, c in enumerate(p.coefs):
-        if c:
-            out = out + c * one_minus_z ** (m + 1 - k)
-    return out
+    # N(z) = r(1-z), r(y) = sum_k c_k y^(m+1-k) for li_neg = sum_k c_k t^k
+    # of degree m+1 (leading coefficient m!): r's coefficients are c's
+    # reversed, and r(1-z) = s(z-1) for s(x) = r(-x), one Taylor shift
+    r = li_neg((m,)).coefs[::-1]
+    return QPoly([-a if j % 2 else a for j, a in enumerate(r)], "z").shift(-1)
 
 
 # ---------------------------------------------------------------------------

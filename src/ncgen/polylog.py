@@ -11,8 +11,10 @@ exponents -w, H^-_w (negpolylog) at +w; y0 is exponent 0.  Li_w(z) is
 the partial sum of sum_N [H_w(N) - H_w(N-1)] z^N with a ratio-test tail
 bound.
 
-QPoly is the one univariate polynomial type over Q: H^-_w is one in N,
-Li^-_w one in t = 1/(1-z) (negpolylog), and so are the numerators below.
+StatePoly is the one commutative polynomial type over Q (sparse in m
+variables, products by ncpoly._bilinear): dynsys's state polynomials,
+and as its subclass QPoly (m = 1, read densely) H^-_w in N, Li^-_w in
+t = 1/(1-z) (negpolylog) and the numerators below.
 
 The second half is the symbolic operator algebra on finite combinations
 sum c_w(z) Li_w(z): FElem, an NCPoly over X whose coefficients c_w lie in
@@ -28,11 +30,13 @@ combinations with *constant* coefficients (the operators are only
 linear over constants).
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 
-from ncgen.ncpoly import NCPoly, _over_lcm
+from ncgen.ncpoly import NCPoly, _bilinear, _over_lcm
 from ncgen.words import X, Y, pi_y_word
 
 # exponent word e -> its integer column N_e(0), N_e(1), ... and n -> lcm(1..n):
@@ -182,16 +186,116 @@ def _tail_bound(w, x, terms):
 _ZERO = Fraction(0)
 
 
-class QPoly:
-    """Dense univariate polynomial over Q; var is a display/serialization tag."""
+class StatePoly:
+    """Polynomial over Q in m variables: exponent tuple -> coef.  Results
+    keep the class and var (QPoly's variable, else None) of the left
+    operand; == and hash ignore var."""
 
-    __slots__ = ("coefs", "var")
+    __slots__ = ("m", "terms", "var")
+
+    def __init__(self, m, terms=None):
+        self.m, self.var = m, None
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            c = c if type(c) is Fraction else Fraction(c)
+            if c:
+                self.terms[tuple(e)] = c
+
+    def _new(self, terms):
+        """A result of arithmetic: self's class and var, zeros dropped."""
+        P = object.__new__(type(self))
+        P.m, P.var = self.m, self.var
+        P.terms = {e: c for e, c in terms.items() if c}
+        return P
+
+    @classmethod
+    def const(cls, m, c):
+        return cls(m, {(0,) * m: c})
+
+    @classmethod
+    def coord(cls, m, j):
+        e = [0] * m
+        e[j] = 1
+        return cls(m, {tuple(e): 1})
+
+    def __eq__(self, other):
+        return (isinstance(other, StatePoly) and self.m == other.m
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, StatePoly):
+            other = self._new({(0,) * self.m: Fraction(other)})
+        t = dict(self.terms)
+        for e, c in other.terms.items():
+            t[e] = t.get(e, _ZERO) + c
+        return self._new(t)
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._new({e: c * v for e, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, StatePoly):
+            return self.scale(other)
+        return self._new(_bilinear(self.terms, other.terms, lambda e, f: (
+            (tuple(map(add, e, f)), 1),)))  # x^e x^f = x^(e+f), once
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """self^k for an int k >= 0."""
+        out = self._new({(0,) * self.m: Fraction(1)})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def diff(self, j):
+        return self._new({e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                          for e, c in self.terms.items() if e[j]})
+
+    def eval(self, q):
+        total = None
+        for e, c in self.terms.items():
+            v = c if isinstance(q[0], Fraction) else float(c)
+            for qi, ei in zip(q, e):
+                for _ in range(ei):
+                    v = v * qi
+            total = v if total is None else total + v
+        if total is None:
+            return Fraction(0) if (len(q) and isinstance(q[0], Fraction)) else 0.0
+        return total
+
+    def to_json_list(self):
+        return [{"exps": list(e), "coef": str(c)}
+                for e, c in sorted(self.terms.items())]
+
+    @classmethod
+    def from_json_list(cls, m, data):
+        return cls(m, {tuple(item["exps"]): Fraction(item["coef"])
+                       for item in data})
+
+    def __repr__(self):
+        return "StatePoly(%r)" % (self.terms,)
+
+
+class QPoly(StatePoly):
+    """StatePoly in one variable, named by var (a display/serialization
+    tag), read densely: coefs[i] is the coefficient of var^i."""
 
     def __init__(self, coefs, var="N"):
-        coefs = [c if type(c) is Fraction else Fraction(c) for c in coefs]
-        while coefs and not coefs[-1]:
-            coefs.pop()
-        self.coefs = tuple(coefs)
+        super().__init__(1, {(i,): c for i, c in enumerate(coefs)})
         self.var = var
 
     @classmethod
@@ -199,52 +303,12 @@ class QPoly:
         return cls([c], var)
 
     def degree(self):
-        return len(self.coefs) - 1 if self.coefs else -1
+        return max(self.terms, default=(-1,))[0]
 
-    def is_zero(self):
-        return not self.coefs
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coefs == other.coefs
-
-    def __hash__(self):
-        return hash(self.coefs)
-
-    def __add__(self, other):
-        if not isinstance(other, QPoly):
-            other = QPoly.const(other, self.var)
-        n = max(len(self.coefs), len(other.coefs))
-        return QPoly([(self.coefs[i] if i < len(self.coefs) else _ZERO)
-                      + (other.coefs[i] if i < len(other.coefs) else _ZERO)
-                      for i in range(n)], self.var)
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coefs], self.var)
-
-    def __sub__(self, other):
-        if not isinstance(other, QPoly):
-            other = QPoly.const(other, self.var)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, QPoly):
-            other = Fraction(other)
-            return QPoly([other * c for c in self.coefs], self.var)
-        out = [_ZERO] * (len(self.coefs) + len(other.coefs) - 1 or 1)
-        for i, a in enumerate(self.coefs):
-            if a:
-                for j, b in enumerate(other.coefs):
-                    out[i + j] += a * b
-        return QPoly(out, self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        """self^k for an int k >= 0."""
-        out = QPoly.const(1, self.var)
-        for _ in range(k):
-            out = out * self
-        return out
+    @functools.cached_property  # eval reads it on every call
+    def coefs(self):
+        t = self.terms
+        return tuple(t.get((i,), _ZERO) for i in range(self.degree() + 1))
 
     def eval(self, x):
         val = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
@@ -264,7 +328,7 @@ class QPoly:
                       for m in range(n + 1)], self.var)
 
     def derivative(self):
-        return QPoly([i * c for i, c in enumerate(self.coefs)][1:], self.var)
+        return self.diff(0)
 
     def to_json_dict(self):
         return {"var": self.var, "coefs": [str(c) for c in self.coefs]}

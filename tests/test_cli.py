@@ -206,6 +206,25 @@ def test_eval_hneg_value(capsys):
     assert out["value"] == "127"
 
 
+@pytest.mark.parametrize("extra, text, key, want", [
+    ([], "H^-_{e}(N): coefs ['1']", "polynomial", {"var": "N", "coefs": ["1"]}),
+    (["--n", "5"], "H^-_{e}(5) = 1", "value", "1"),
+])
+def test_eval_hneg_of_the_empty_word_is_one(capsys, extra, text, key, want):
+    # "e" parses as the empty X-word; H^- of the empty word is 1
+    code, out, err = run(capsys, "eval", "hneg", "--word", "e", *extra)
+    assert (code, out, err) == (0, text + "\n", "")
+    code, out = run_json(capsys, "--format", "json", "eval", "hneg",
+                         "--word", "e", *extra)
+    assert code == 0 and out[key] == want and out["word"] == "e"
+
+
+def test_eval_hneg_refuses_a_nonempty_x_word(capsys):
+    code, out, err = run(capsys, "eval", "hneg", "--word", "x0 x1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: hneg expects a Y/Y0 word such as 'y2 y1'"
+
+
 @pytest.mark.parametrize("word, want", [
     ("y0 y1", 0.693147180560),   # z/(1-z) (-log(1-z)) = log 2, not Li_2(1/2)
     ("y1 y0", 0.306852819440),   # z/(1-z) + log(1-z) = 1 - log 2

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from ncgen.ncpoly import NCPoly, is_grouplike, stuffle_words, words_up_to
 from ncgen.negpolylog import h_neg, h_neg_value
 from ncgen.polylog import (
-    FElem, QPoly, RatZ, harmonic, harmonic_array, harmonic_float, harmonic_series,
+    FElem, QPoly, RatZ, StatePoly, harmonic, harmonic_array, harmonic_float, harmonic_series,
     nested_sum, polylog_eval,
 )
 from ncgen.words import Y, Y0
@@ -271,6 +271,119 @@ def test_qpoly_shift_is_the_composition(coefs, c):
     for i, a in enumerate(coefs):
         want = want + a * QPoly([c, 1], "N") ** i
     assert p.shift(c) == want
+
+
+# -- commutative polynomials: StatePoly and its univariate QPoly --------
+
+def _naive_add(a, b):
+    t = dict(a)
+    for e, c in b.items():
+        t[e] = t.get(e, 0) + c
+    return {e: c for e, c in t.items() if c}
+
+
+def _naive_mul(a, b):
+    """The product pair by pair, exponents added coordinatewise."""
+    t = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            t[e] = t.get(e, 0) + c1 * c2
+    return {e: c for e, c in t.items() if c}
+
+
+def _naive_diff(a, j):
+    t = {}
+    for e, c in a.items():
+        if e[j]:
+            e2 = e[:j] + (e[j] - 1,) + e[j + 1:]
+            t[e2] = t.get(e2, 0) + c * e[j]
+    return {e: c for e, c in t.items() if c}
+
+
+def _naive_horner(coefs, x):
+    val = 0 * x if isinstance(x, float) else Fraction(0)
+    for c in reversed(coefs):
+        val = val * x + c
+    return val
+
+
+def _terms_of(m):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * m), _fractions,
+                           max_size=5)
+
+
+_VARS = st.sampled_from(["N", "z", "1/(1-z)"])
+
+
+def _poly(m, terms, var):
+    """StatePoly in m variables, or for m = 1 the QPoly of the same terms."""
+    if m > 1:
+        return StatePoly(m, terms)
+    degree = max(terms, default=(-1,))[0]
+    return QPoly([terms.get((i,), 0) for i in range(degree + 1)], var)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.data(), _fractions, st.integers(0, 3))
+def test_state_poly_arithmetic_equals_the_naive_loops(m, data, c, k):
+    # zero, scalar and (for m = 1) mixed-var operands; every result keeps
+    # the left operand's class and var, and the reference's term order
+    # (StatePoly.eval sums in it)
+    p = _poly(m, data.draw(_terms_of(m)), data.draw(_VARS))
+    q = _poly(m, data.draw(_terms_of(m)), data.draw(_VARS))
+    ta, tb = dict(p.terms), dict(q.terms)
+    power = {(0,) * m: Fraction(1)}
+    for _ in range(k):
+        power = _naive_mul(power, ta)
+    want = {
+        "p + q": _naive_add(ta, tb),
+        "p - q": _naive_add(ta, {e: -v for e, v in tb.items()}),
+        "-p": {e: -v for e, v in ta.items()},
+        "p * q": _naive_mul(ta, tb),
+        "p + c": _naive_add(ta, {(0,) * m: c}),
+        "p - c": _naive_add(ta, {(0,) * m: -c}),
+        "p * c": _naive_mul(ta, {(0,) * m: c}),
+        "c * p": _naive_mul(ta, {(0,) * m: c}),
+        "p.scale(c)": _naive_mul(ta, {(0,) * m: c}),
+        "p ** k": power,
+    }
+    for j in range(m):
+        want["p.diff(%d)" % j] = _naive_diff(ta, j)
+    for expr, terms in want.items():
+        got = eval(expr)
+        assert list(got.terms.items()) == list(terms.items()), expr
+        assert type(got) is type(p) and got.var == p.var, expr
+        assert got == _poly(m, terms, "N") and hash(got) == hash(
+            _poly(m, terms, "N")), expr
+    if m == 1:
+        assert p.derivative() == p.diff(0)
+    x = tuple(Fraction(i + 2, 3) for i in range(m))
+    assert (p * q).eval(x if m > 1 else x[0]) == (
+        p.eval(x if m > 1 else x[0]) * q.eval(x if m > 1 else x[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_fractions, max_size=6), st.integers(0, 3), _VARS,
+       st.sampled_from([0, 3, -2, Fraction(-5, 7), Fraction(2, 3), 0.37,
+                        -1.5, 2.0]))
+def test_qpoly_dense_view_json_and_horner(coefs, pad, var, x):
+    p = QPoly(coefs + [0] * pad, var)
+    trimmed = list(coefs)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert p.coefs == tuple(Fraction(c) for c in trimmed)
+    assert p.degree() == len(trimmed) - 1
+    back = QPoly(p.coefs, var)
+    assert back == p and back.degree() == p.degree() and back.var == var
+    # both JSON round trips: the CLI's {"var", "coefs"} and the system
+    # files' [{"exps", "coef"}]
+    d = QPoly.from_json_dict(p.to_json_dict())
+    assert d == p and d.var == var and d.coefs == p.coefs
+    assert StatePoly.from_json_list(1, p.to_json_list()) == p
+    # Horner's order: exact at int and Fraction, bit for bit at float
+    got, want = p.eval(x), _naive_horner(trimmed, x)
+    assert type(got) is type(want) and repr(got) == repr(want)
 
 
 # -- operator algebra --------------------------------------------------
