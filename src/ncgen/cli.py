@@ -55,49 +55,83 @@ def _round(x, digits):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _to_json(obj, digits):
+def _to_json(obj, digits, write=None):
     """json.dumps(obj, indent=2) byte for byte, each float first rounded
-    by _round. Strings go through json's C escaper and other scalars
-    through json.dumps, so json's pure-Python indent encoder never runs."""
-    chunks = []
-    put = chunks.append
+    by _round and each word series (an ncpoly.NCPoly, the one object that
+    is not a JSON value) written as its to_json_dict()["terms"].
+
+    Strings go through json's C escaper and other scalars through
+    json.dumps, so json's pure-Python indent encoder never runs. A series
+    is written one string per term, with no dict per term, and each word
+    is named once per call. With write, every chunk goes to write as it
+    is made and None is returned; without, the document is returned."""
+    chunks = None
+    if write is None:
+        chunks = []
+        write = chunks.append
+    names = {}  # alphabet -> {word: its name as a JSON string}
+
+    def series(P, indent):
+        if not P.terms:
+            write("[]")
+            return
+        inner = indent + "  "
+        lead = "{" + inner + '  "word": '
+        mid = "," + inner + '  "coef": '
+        close = inner + "}"
+        known = names.setdefault(P.alphabet, {})
+        sep = "[" + inner
+        for w, c in sorted(P.terms.items()):
+            name = known.get(w)
+            if name is None:
+                name = known[w] = _encode_str(word_to_str(w, P.alphabet))
+            write(f"{sep}{lead}{name}{mid}{_encode_str(str(c))}{close}")
+            sep = "," + inner
+        write(indent + "]")
 
     def walk(obj, indent):  # indent: the newline and spaces before a closer
         if isinstance(obj, str):
-            put(_encode_str(obj))
+            write(_encode_str(obj))
         elif isinstance(obj, dict) and obj:
             inner = indent + "  "
             sep = "{" + inner
             for k, v in obj.items():
-                put(sep + _encode_str(k) + ": ")
+                write(sep + _encode_str(k) + ": ")
                 walk(v, inner)
                 sep = "," + inner
-            put(indent + "}")
+            write(indent + "}")
         elif isinstance(obj, (list, tuple)) and obj:
             inner = indent + "  "
             sep = "[" + inner
             for v in obj:
-                put(sep)
+                write(sep)
                 walk(v, inner)
                 sep = "," + inner
-            put(indent + "]")
-        else:  # a scalar, {} or []
-            put(json.dumps(_round(obj, digits) if isinstance(obj, float)
-                           else obj))
+            write(indent + "]")
+        elif obj is None or isinstance(obj, (int, float, dict, list, tuple)):
+            # a scalar, {} or []
+            write(json.dumps(_round(obj, digits) if isinstance(obj, float)
+                             else obj))
+        else:
+            series(obj, indent)
 
     walk(obj, "\n")
-    return "".join(chunks)
+    return None if chunks is None else "".join(chunks)
 
 
 def _emit(args, payload, text_lines=None):
     """Print payload as json.dumps(payload, indent=2) would, floats rounded
-    to --precision, or in text format the lines text_lines(payload), which
-    rounds the floats it prints with _round. A payload that only JSON
-    prints may come as a function that builds it. A closed pipe or another
-    failed write raises OSError, for main() to report."""
+    to --precision and series as term lists (see _to_json), or in text
+    format the lines text_lines(payload), which rounds the floats it
+    prints with _round. JSON is streamed: each chunk goes to
+    sys.stdout.write as it is made, so the document is never held whole.
+    A closed pipe or another failed write raises OSError, for main() to
+    report."""
     if args.format == "json" or text_lines is None:
-        print(_to_json(payload() if callable(payload) else payload,
-                       args.precision))
+        out = sys.stdout
+        if out is not None:  # None: stdout was closed at start-up
+            _to_json(payload, args.precision, out.write)
+            out.write("\n")
     else:
         for line in text_lines(payload):
             print(line)
@@ -164,30 +198,28 @@ def cmd_table(args):
         except ValueError as exc:
             raise CLIError(str(exc)) from None
         pbw, dual = hopf.basis_pair(alphabet)
-        pairs = [(pbw(l), dual(l)) for l in lws]
-        names = [word_to_str(l, alphabet) for l in lws]
-        _emit(args, lambda: {"alphabet": alphabet, "rows": [
-            {"lyndon": name, "p": p.to_json_dict()["terms"],
-             "s": s.to_json_dict()["terms"]}
-            for name, (p, s) in zip(names, pairs)]}, lambda _: [
+        rows = [{"lyndon": word_to_str(l, alphabet), "p": pbw(l),
+                 "s": dual(l)} for l in lws]
+        names = {}  # one name per word for the whole table
+        _emit(args, {"alphabet": alphabet, "rows": rows}, lambda pl: (
             "%-12s  P = %s\n%-12s  S = %s" % (
-                name, ncpoly.poly_to_str(p), "", ncpoly.poly_to_str(s))
-            for name, (p, s) in zip(names, pairs)])
+                r["lyndon"], ncpoly.poly_to_str(r["p"], names), "",
+                ncpoly.poly_to_str(r["s"], names))
+            for r in pl["rows"]))
         return 0
 
     if args.which == "pi-sigma":
         if args.max_weight is None:
             raise CLIError("pi-sigma needs --max-weight")
-        ws = [w for w in ncpoly.words_up_to(Y, args.max_weight) if w]
-        names = [word_to_str(w, Y) for w in ws]
-        pairs = [(hopf.pbw_pi(w), hopf.dual_sigma(w)) for w in ws]
-        _emit(args, lambda: {"rows": [
-            {"word": name, "pi": p.to_json_dict()["terms"],
-             "sigma": s.to_json_dict()["terms"]}
-            for name, (p, s) in zip(names, pairs)]}, lambda _: [
+        rows = [{"word": word_to_str(w, Y), "pi": hopf.pbw_pi(w),
+                 "sigma": hopf.dual_sigma(w)}
+                for w in ncpoly.words_up_to(Y, args.max_weight) if w]
+        names = {}
+        _emit(args, {"rows": rows}, lambda pl: (
             "%-10s  Pi = %-40s Sigma = %s" % (
-                name, ncpoly.poly_to_str(p), ncpoly.poly_to_str(s))
-            for name, (p, s) in zip(names, pairs)])
+                r["word"], ncpoly.poly_to_str(r["pi"], names),
+                ncpoly.poly_to_str(r["sigma"], names))
+            for r in pl["rows"]))
         return 0
 
     if args.which == "cminus":

@@ -577,20 +577,28 @@ def pi_y_poly(P):
 # ---------------------------------------------------------------------------
 # printing
 
-def poly_to_str(P):
+def poly_to_str(P, names=None):
+    """P as "c w + ..." by degree, then word; a coefficient 1 or -1 is
+    shown as the bare word or "-" word.  names: a dict the calls of one
+    table share, so that each word is named once."""
     if not P.terms:
         return "0"
+    names = {} if names is None else names.setdefault(P.alphabet, {})
+    ws = sorted(P.terms)
+    ws.sort(key=_grading(P.alphabet))  # stable: by degree, then word
     bits = []
-    deg = _grading(P.alphabet)
-    for w in sorted(P.terms, key=lambda w: (deg(w), w)):
-        c = P.terms[w]
-        ws = word_to_str(w, P.alphabet)
-        if c == 1 and w:
-            bits.append(ws)
-        elif c == -1 and w:
-            bits.append("-" + ws)
-        elif not w:
-            bits.append(str(c))
+    for w in ws:
+        c = str(P.terms[w])  # a Fraction 1 prints "1", a float "1.0"
+        if not w:
+            bits.append(c)
+            continue
+        name = names.get(w)
+        if name is None:
+            name = names[w] = word_to_str(w, P.alphabet)
+        if c == "1" or c == "1.0":
+            bits.append(name)
+        elif c == "-1" or c == "-1.0":
+            bits.append("-" + name)
         else:
-            bits.append("%s %s" % (c, ws))
+            bits.append(c + " " + name)
     return " + ".join(bits).replace("+ -", "- ")

@@ -7,12 +7,15 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncgen.cli import _to_json, main
+from ncgen.ncpoly import NCPoly
 from ncgen.polylog import auto_terms
+from ncgen.words import X, Y, Y0
 
 
 def run(capsys, *argv):
@@ -664,6 +667,10 @@ EXACT_OUTPUT = [
     (["--format", "json", "table", "dual-bases", "--alphabet", "Y",
       "--max-weight", "8"],
      "81c069bdeecbf27be0d4da0aa32db3792dda5a1391a6e6b9442630776fb05407"),
+    (["table", "dual-bases", "--max-len", "7"],
+     "f656b983772325b8ef34ba76bb3bf56843576b896ffd1d319c1a8f6c5dcb8c18"),
+    (["table", "dual-bases", "--alphabet", "Y", "--max-weight", "6"],
+     "92700ae507e9236c7e8b4c3592f4913fcc7a3d743b777ad7f0c5cfec06e11d18"),
 ]
 
 
@@ -797,6 +804,36 @@ def test_to_json_is_rounded_json_dumps(obj, digits):
                                                indent=2)
 
 
+_LETTERS = {X: st.integers(0, 1), Y: st.integers(1, 4), Y0: st.integers(0, 4)}
+_SERIES = st.sampled_from([X, Y, Y0]).flatmap(lambda a: st.dictionaries(
+    st.lists(_LETTERS[a], max_size=4).map(tuple),
+    st.fractions(max_denominator=30) | st.sampled_from([1, -1]),
+    max_size=6).map(lambda terms: NCPoly(a, terms)))
+
+
+def _series_as_terms(obj):
+    if isinstance(obj, NCPoly):
+        return obj.to_json_dict()["terms"]
+    if isinstance(obj, dict):
+        return {k: _series_as_terms(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_series_as_terms(v) for v in obj]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SERIES | _JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20))
+@example([NCPoly(X, {(1,): 1}), {"y": NCPoly(Y, {(1,): -1, (): 2})},
+          [NCPoly(Y0, {(1, 0): Fraction(1, 3)}), NCPoly(X, {(1, 0): 1})]])
+def test_to_json_writes_a_series_as_its_term_list(obj):
+    # X, Y and Y0 series with equal word tuples may share one document
+    want = json.dumps(_round_ref(_series_as_terms(obj), 17), indent=2)
+    assert _to_json(obj, 17) == want
+
+
 @pytest.mark.parametrize("argv", [["--T", "0.1", "--controls", "1.0,0.5"],
                                   ["--z", "0.4"]])
 def test_simulate_text_rounds_like_json(tmp_path, capsys, argv):
@@ -840,3 +877,34 @@ def test_failed_write_is_one_error_line():
         assert proc.wait(timeout=120) == 2
     assert err == ("error: cannot write output: [Errno 28] "
                    "No space left on device\n")
+
+
+def test_stdout_closed_at_start_up_exits_0():
+    # as in `ncgen ... >&-`: Python sets sys.stdout to None
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ncgen.cli",
+         "--format", "json", "table", "dual-bases", "--max-len", "3"],
+        stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
+def _peak_rss_kb(argv):
+    """Max RSS of one CLI run to /dev/null, read by a wrapper process from
+    RUSAGE_CHILDREN, so that this process's own memory does not count."""
+    wrapper = ("import resource, subprocess, sys\n"
+               "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, "
+               "check=True)\n"
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", wrapper, sys.executable,
+                           "-m", "ncgen.cli", *argv], capture_output=True,
+                          env=env, check=True, timeout=300)
+    return int(proc.stdout)
+
+
+def test_json_table_peaks_near_the_text_table():
+    # the JSON document is streamed, not held whole before it is written
+    argv = ["table", "pi-sigma", "--max-weight", "9"]
+    assert _peak_rss_kb(["--format", "json", *argv]) <= 1.25 * _peak_rss_kb(argv)

@@ -12,7 +12,7 @@ from ncgen.ncpoly import (
     residual_right, series_exp, shuffle, shuffle_words, stuffle,
     stuffle_words, words_up_to,
 )
-from ncgen.words import X, Y, Y0
+from ncgen.words import X, Y, Y0, word_to_str
 
 
 def W(w, alphabet=X, c=1):
@@ -237,6 +237,52 @@ def test_poly_to_str():
     P = W((0, 0, 0, 1, 1), c=2) + W((0, 0, 1, 0, 1))
     assert poly_to_str(P) == "2 x0 x0 x0 x1 x1 + x0 x0 x1 x0 x1"
     assert poly_to_str(NCPoly.zero()) == "0"
+
+
+def _poly_to_str_ref(P):
+    # each coefficient compared with 1 and -1 by value, each word named anew
+    bits = []
+    grade = len if P.alphabet == X else sum
+    for w in sorted(P.terms, key=lambda w: (grade(w), w)):
+        c, name = P.terms[w], word_to_str(w, P.alphabet)
+        if c == 1 and w:
+            bits.append(name)
+        elif c == -1 and w:
+            bits.append("-" + name)
+        elif not w:
+            bits.append(str(c))
+        else:
+            bits.append("%s %s" % (c, name))
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
+_UNITS = st.sampled_from([1, -1, Fraction(3, 2), -2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from([X, Y, Y0]),
+    st.dictionaries(st.lists(st.integers(0, 3), max_size=3).map(tuple),
+                    _UNITS | _UNITS.map(float) | st.floats(-2, 2),
+                    max_size=6)), max_size=4))
+def test_poly_to_str_with_shared_names(series):
+    # one names dict across the series of a table, alphabets mixed; exact
+    # and float coefficients, 1.0 and -1.0 among them
+    names = {}
+    for alphabet, terms in series:
+        if alphabet == X:
+            terms = {tuple(a % 2 for a in w): c for w, c in terms.items()}
+        elif alphabet == Y:
+            terms = {tuple(a + 1 for a in w): c for w, c in terms.items()}
+        P = NCPoly(alphabet, terms)  # ints become Fractions
+        assert poly_to_str(P, names) == _poly_to_str_ref(P)
+
+
+def test_poly_to_str_of_ring_coefficients():
+    from ncgen.polylog import RatZ
+    P = NCPoly._new(X, {(): RatZ.const(1), (0, 1): RatZ.const(-1),
+                        (1,): RatZ.lam()}, None)
+    assert poly_to_str(P) == _poly_to_str_ref(P)
 
 
 # -- exact and float series, truncated -------------------------------
