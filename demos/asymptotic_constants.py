@@ -20,10 +20,10 @@ def main():
     print("  gamma_{y1 y1}  = %.12f  (direct partial sums)"
           % r["gamma_y1y1_numeric"])
 
-    print("\nAbel-type limits, weight <= 3 (endpoint fit in eps = 1 - z):")
+    print("\nAbel-type limits, weight <= 3 (z side at 1 - 2^-53):")
     report = abel_limits_check(max_weight=3)
     for word, row in sorted(report["per_word"].items()):
-        print("  %-10s n-side %.8f   fitted z-side %.8f   gap %.1e"
+        print("  %-10s n-side %.8f   z-side limit %.8f   gap %.1e"
               % (str(word), row["n_side"], row["fitted"], row["fitted_gap"]))
     print("  overall max gap %.2e  pass=%s"
           % (report["max_fitted_gap"], report["pass"]))

@@ -18,10 +18,10 @@ Contents:
     word from a functools.cache per depth (_z_sh, _z_st);
   * the two renormalized series Z and their comparison ("bridge"),
     which trades the letter y1 between the two sides;
+  * L(z) past 1/2 by the reflection at 1, sigma(L(1-z)) Z_sh (Z_sh is
+    Drinfeld's KZ associator), so no Li is summed at z > 1/2;
   * the z -> 1 / N -> infinity Abel-type comparison of the polylog and
-    harmonic-sum generating series, with a fitted limit in the basis
-    {1, eps log eps, eps, eps log^2 eps} since the raw endpoint gap
-    decays like eps log^j eps;
+    harmonic-sum generating series, the z side at the float below 1;
   * Euler-Maclaurin constants (gamma and the y1^2 coefficient);
   * the single-variable monomial/constant-part series in y1.
 """
@@ -29,8 +29,6 @@ Contents:
 import functools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from ncgen.hopf import basis_pair
 from ncgen.ncpoly import NCPoly, series_exp, words_up_to
@@ -68,17 +66,20 @@ def li_numeric(w, z):
     return polylog_eval(w, z)[0]
 
 
+def _sigma(s):
+    """sigma(S), the pullback under t -> 1 - t: x0 -> -x1, x1 -> -x0
+    (dt/t becomes -dt/(1-t)); no word reversal."""
+    return NCPoly(X, {tuple(1 - a for a in w): -c if len(w) % 2 else c
+                      for w, c in s.terms.items()}, s.depth)
+
+
 @functools.cache
 def _z_sh(depth):
-    """Z_sh up to a depth by the Hoelder convolution at p = 2:
-    Z_sh = sigma(L(1/2))^{-1} L(1/2), where sigma swaps x0 and x1 and
-    multiplies the coefficient of w by (-1)^|w| (t -> 1 - t sends dt/t to
-    -dt/(1-t)); no word reversal.  Each Li at 1/2 converges like 2^-n.
-    Shared by every caller: read it, never change it."""
+    """Z_sh = sigma(L(1/2))^{-1} L(1/2) up to a depth, the regularized
+    value of L at 1 (Drinfeld's KZ associator); each Li at 1/2 converges
+    like 2^-n.  Shared by every caller: read it, never change it."""
     half = l_series(0.5, depth)
-    swapped = {tuple(1 - a for a in w): -c if len(w) % 2 else c
-               for w, c in half.terms.items()}
-    return NCPoly(X, swapped, depth).inverse() * half
+    return _sigma(half).inverse() * half
 
 
 def zeta_numeric(w):
@@ -170,11 +171,14 @@ def l_series(z, depth):
     """L(z) = e^{-log(1-z) x1} prod_l exp(Li_{S_l}(z) P_l) e^{log(z) x0}
     up to words of length depth, for 0 < z < 1 (ValueError otherwise).
 
-    The Lyndon-ordered product with the character log z on x0, -log(1-z)
-    on x1 and Li_v(z) on every other word v, each a convergent
-    polylogarithm summed to auto_terms(z) terms.
+    Direct for z <= 1/2: the Lyndon-ordered product with the character
+    log z on x0, -log(1-z) on x1 and Li_v(z) on every other word v, each
+    summed to 2000 terms (tail below 2^-2000).  For z > 1/2 the
+    reflection at 1, sigma(L(1-z)) Z_sh, with 1 - z exact (Sterbenz).
     """
     _check_segment(z)
+    if z > 0.5:
+        return _sigma(l_series(1.0 - z, depth)) * _z_sh(depth)
     letters = {(0,): math.log(z), (1,): -math.log(1.0 - z)}
     return _lyndon_product(X, depth, lambda v: letters[v] if v in letters
                            else polylog_eval(v, z, alphabet=X)[0])
@@ -214,9 +218,10 @@ def harmonic_truncated_series(n, max_weight):
 
 def n_side_limit_series(max_weight, n=DEFAULT_N):
     """exp(sum_k H_{y_k}(n) (-y1)^k / k) H(n)."""
-    coefs = {k: harmonic_float((k,), n) * (-1.0) ** k / k
+    h = harmonic_truncated_series(n, max_weight)
+    coefs = {k: h.coeff((k,)) * (-1.0) ** k / k
              for k in range(1, max_weight + 1)}
-    return ncpoly_exp_y1(coefs, max_weight) * harmonic_truncated_series(n, max_weight)
+    return ncpoly_exp_y1(coefs, max_weight) * h
 
 
 def z_side_series(z, max_weight):
@@ -229,39 +234,31 @@ def z_side_series(z, max_weight):
 def abel_limits_check(max_weight=3, n=DEFAULT_N):
     """Compare the z -> 1 and N -> infinity regularized limits.
 
-    The raw endpoint gap at z = 1 - eps decays like eps log^j(eps)
-    (j < weight), which at eps = 1e-3 is still a few 1e-3; so alongside
-    the raw gap the check fits g(eps) = a + b eps log(eps) + c eps +
-    d eps log^2(eps) through the endpoints at eps_list and compares the
-    fitted limit a (per word) against the N-side value: pass iff every
-    fitted gap is <= tol.
+    At z = 1 - eps the z side is off its limit by about eps |log eps|^j
+    (j <= weight) and rounds by about u |log eps|^j; they balance at
+    eps = u = 2^-53.  So "fitted" is the z side at 1 - 2^-53, the float
+    next below 1, and "raw_endpoint" the one at eps = 1e-3 (eps_list).
+    Pass iff every gap of "fitted" to the N-side value is <= tol.
     """
-    eps_list, tol = (1e-2, 5e-3, 2e-3, 1e-3), 1e-3
+    eps_list, tol = (1e-3, 2.0 ** -53), 1e-3
     n_side = n_side_limit_series(max_weight, n)
     z_target = _z_sh(max_weight).pi_y()
-    samples = [z_side_series(1.0 - eps, max_weight) for eps in eps_list]
-    design = np.array([[1.0, e * math.log(e), e, e * math.log(e) ** 2]
-                       for e in eps_list])
-    words = words_up_to(Y, max_weight)
+    raw, limit = (z_side_series(1.0 - eps, max_weight) for eps in eps_list)
     report = {}
     worst = 0.0
-    for w in words:
+    for w in words_up_to(Y, max_weight):
         if not w:
             continue
-        values = np.array([s.coeff(w) for s in samples])
-        coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-        fitted = float(coeffs[0])
         target = n_side.coeff(w)
-        raw_gap = abs(values[-1] - target)
-        fitted_gap = abs(fitted - target)
+        fitted_gap = abs(limit.coeff(w) - target)
         worst = max(worst, fitted_gap)
         report[w] = {
-            "raw_endpoint": float(values[-1]),
-            "raw_gap": float(raw_gap),
-            "fitted": fitted,
+            "raw_endpoint": raw.coeff(w),
+            "raw_gap": abs(raw.coeff(w) - target),
+            "fitted": limit.coeff(w),
             "n_side": target,
             "z_shuffle_side": z_target.coeff(w),
-            "fitted_gap": float(fitted_gap),
+            "fitted_gap": fitted_gap,
         }
     return {"max_weight": max_weight, "n": n, "eps_list": list(eps_list),
             "tol": tol, "per_word": report, "max_fitted_gap": worst,

@@ -5,14 +5,17 @@ import random
 
 import mpmath
 import pytest
+from test_acceptance import budget
 
+from ncgen import renorm
 from ncgen.ncpoly import is_grouplike, shuffle_words, stuffle_words
-from ncgen.polylog import harmonic
+from ncgen.polylog import harmonic, polylog_eval
 from ncgen.renorm import (
     TruncatedNCSeries,
     abel_limits_check,
     bridge_check,
     bridge_series,
+    chen_between,
     chen_endpoint_sanity,
     const_log_identity,
     const_series,
@@ -21,6 +24,7 @@ from ncgen.renorm import (
     li_numeric,
     mono_series,
     n_side_limit_series,
+    rounding_tol,
     series_exp,
     z_shuffle_series,
     z_side_series,
@@ -165,6 +169,25 @@ def test_abel_limits():
     assert per[(3,)]["fitted_gap"] < 1e-3
 
 
+# max_fitted_gap of the four-point fit in eps = 1 - z that the z side
+# used before it was read through the reflection
+FIT_GAP = {2: 2.6e-5, 3: 1.68e-4, 4: 7.92e-3, 5: 0.107}
+
+
+@pytest.mark.parametrize("depth", sorted(FIT_GAP))
+def test_abel_z_side_is_the_z_shuffle_image(depth):
+    report = abel_limits_check(depth)
+    assert set(report) == {"max_weight", "n", "eps_list", "tol", "per_word",
+                           "max_fitted_gap", "pass"}
+    assert report["eps_list"] == [1e-3, 2.0 ** -53]
+    for w, row in report["per_word"].items():
+        assert set(row) == {"raw_endpoint", "raw_gap", "fitted", "n_side",
+                            "z_shuffle_side", "fitted_gap"}
+        assert abs(row["fitted"] - row["z_shuffle_side"]) < 1e-8, w
+    # what is left of the gap is the N side's truncation at n = 10^5
+    assert report["max_fitted_gap"] < FIT_GAP[depth]
+
+
 def test_n_side_matches_z_shuffle_image():
     n_side = n_side_limit_series(3)
     target = z_shuffle_series(3).pi_y()
@@ -220,3 +243,53 @@ def test_depth_zero_series_are_float_one():
     for series in (l_series(0.3, 0), z_stuffle_series(0)):
         assert series.terms == {(): 1.0}
         assert type(series.terms[()]) is float
+
+
+# --- near z = 1: the reflection L(z) = sigma(L(1 - z)) Z_sh -----------------
+
+def direct_l(z, depth):
+    """L(z) from polylogarithms summed at z itself, with no reflection."""
+    letters = {(0,): math.log(z), (1,): -math.log(1.0 - z)}
+    return renorm._lyndon_product(
+        X, depth, lambda v: letters[v] if v in letters
+        else polylog_eval(v, z, alphabet=X)[0])
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5, 7])
+def test_reflection_at_one_against_the_direct_product(depth):
+    for z in (0.01, 0.1, 0.25, 0.4, 0.5):
+        lhs = renorm._sigma(l_series(z, depth)) * z_shuffle_series(depth)
+        rhs = direct_l(1.0 - z, depth)
+        assert lhs.max_abs_diff(rhs) <= rounding_tol(lhs, rhs), (z, depth)
+
+
+def test_no_polylog_is_summed_past_one_half(monkeypatch):
+    seen = []
+
+    def recorder(w, z, *args, **kwargs):
+        seen.append(z)
+        return polylog_eval(w, z, *args, **kwargs)
+
+    monkeypatch.setattr(renorm, "polylog_eval", recorder)
+    l_series(0.9, 5)
+    chen_between(0.3, 0.95, 4)
+    abel_limits_check(3)
+    assert seen and max(seen) <= 0.5
+
+
+def test_l_series_next_to_one_against_mpmath():
+    z = 0.999999
+    with budget(1.0):
+        lz = l_series(z, 7)
+    assert abs(lz.coeff((0, 1)) - float(mpmath.polylog(2, z))) < 1e-13
+    assert abs(lz.coeff((0, 0, 1)) - float(mpmath.polylog(3, z))) < 1e-13
+    # Li_{x0 x1 x1}(z) = int_0^z log^2(1 - t) / (2 t) dt
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda t: mpmath.log(1 - t) ** 2 / (2 * t),
+                           [0, 0.5, z])
+    assert abs(lz.coeff((0, 1, 1)) - float(want)) < 1e-13
+
+
+def test_l_series_at_the_float_next_to_one_is_grouplike():
+    lz = l_series(1 - 2 ** -52, 5)
+    assert is_grouplike(lz, "shuffle", 5, tol=rounding_tol(lz))
