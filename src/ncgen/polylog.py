@@ -2,14 +2,15 @@
 
 One engine computes S_e(N) = sum_{N >= n1 > ... > nr >= 1} n1^e1 ... nr^er
 over integer exponents, exactly (nested_sum) or in floats
-(nested_sum_array), by sweeping S_e(n) = S_e(n-1) + n^e1 S_{e[1:]}(n-1)
+(nested_sum_sweep), by sweeping S_e(n) = S_e(n-1) + n^e1 S_{e[1:]}(n-1)
 forward in n, one letter at a time from the right (S = 1 at the empty
 word, so S_e(n) = 0 for n < |e|).  The exact sweep runs on integers: the
 column of e holds N_e(n) = S_e(n) lcm(1..n)^A, A the weight of the
-negative exponents of e, and a read builds one Fraction.  H_w is S at
-exponents -w, H^-_w (negpolylog) at +w; y0 is exponent 0.  Li_w(z) is
+negative exponents of e, and a read builds one Fraction; the float one
+builds each column of a tree of words once, from its suffix's.  H_w is S
+at exponents -w, H^-_w (negpolylog) at +w; y0 is exponent 0.  Li_w(z) is
 the partial sum of sum_N [H_w(N) - H_w(N-1)] z^N with a ratio-test tail
-bound.
+bound, its terms computed up to where |z|^N underflows to 0.0.
 
 StatePoly is the one commutative polynomial type over Q (sparse in m
 variables, products by ncpoly._bilinear): dynsys's state polynomials,
@@ -32,6 +33,7 @@ linear over constants).
 
 import functools
 import math
+from bisect import bisect
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -70,15 +72,33 @@ def nested_sum(e, N):
     return Fraction(tail[N], _lcms[N] ** a if a else 1)
 
 
-def nested_sum_array(e, N):
-    """Float S_e(n) for n = 0..N as a numpy array (for large N)."""
+def nested_sum_sweep(N, letters):
+    """Float S_e(n), n = 0..N, for the exponent words e grown from () one
+    letter at a time on the left (letters(e): the k of the words k e):
+    yields (e, column) depth first, each column built once, in place, from
+    its suffix's, and keeps only the columns of pending words' suffixes."""
     import numpy as np  # here, so the exact side loads without numpy
     n = np.arange(1, N + 1, dtype=float)
-    col = np.ones(N + 1)
-    for k in reversed(tuple(e)):
-        contrib = np.zeros(N + 1)
-        contrib[1:] = n ** float(k) * col[:-1]
-        col = np.cumsum(contrib)
+    todo = [((), None)]
+    while todo:
+        e, suffix = todo.pop()
+        col = np.empty(N + 1) if e else np.ones(N + 1)
+        if e:  # n^k times the suffix column at n - 1, then the cumsum
+            col[0] = 0.0
+            np.power(n, float(e[0]), out=col[1:])
+            col[1:] *= suffix[:-1]
+            np.add.accumulate(col, out=col)
+        yield e, col
+        todo += [((k,) + e, col) for k in reversed(letters(e))]
+
+
+def nested_sum_array(e, N):
+    """Float S_e(n) for n = 0..N as a numpy array (for large N): the
+    sweep along the suffixes of e."""
+    e = tuple(e)  # below: the letter of e left of its suffix f, if any
+    for _, col in nested_sum_sweep(
+            N, lambda f: e[-len(f) - 1:len(e) - len(f)]):
+        pass
     return col
 
 
@@ -109,6 +129,15 @@ def harmonic_series(N, max_weight):
     return out
 
 
+def harmonic_truncated_series(n, max_weight):
+    """H(n) as a float Y-series up to a weight, from one sweep over the
+    Y-words (exponents -w) that builds the column of y_a u from u's."""
+    sweep = nested_sum_sweep(  # y_a u for every a the weight left allows
+        n, lambda e: range(-1, -max_weight - sum(e) - 1, -1))
+    return NCPoly(Y, {tuple(-k for k in e): col[n] for e, col in sweep},
+                  max_weight)
+
+
 def auto_terms(z):
     """The term count polylog_eval sums when given terms=None: |z|^T
     below ~1e-17 even for z near 1, at least 2000, at most MAX_TERMS."""
@@ -123,6 +152,8 @@ def polylog_eval(w, z, terms=None, alphabet=None):
     read as an X-word.  terms=None (the default) sums auto_terms(z) terms;
     terms above MAX_TERMS are refused, and so is a value that underflows
     to 0.  The empty word gives 1.  Returns (value, _tail_bound(...)).
+    Only the terms before the first n with |z|^n == 0.0 are computed (at
+    z = 1/2 n = 1075 of 2000); the rest are 0.0 and summed as such.
     """
     w = tuple(w)
     if not (-1 < z < 1):
@@ -141,13 +172,17 @@ def polylog_eval(w, z, terms=None, alphabet=None):
     if terms is None:
         terms = auto_terms(z)
     import numpy as np
-    h = harmonic_array(w, terms)
-    n = np.arange(0, terms + 1, dtype=float)
-    diffs = np.diff(h)  # H_w(n) - H_w(n-1), n = 1..terms
-    value = float(np.sum(diffs * z ** n[1:]))
+    # |z|^n falls with n; past the last n where it is not 0.0 the products
+    # are 0.0, and as zeros they keep the grouping of numpy's pairwise sum
+    x = abs(z)
+    last = bisect(range(1, terms + 1), False, key=lambda n: not x ** n)
+    products = np.zeros(max(terms, 0))
+    np.multiply(np.diff(harmonic_array(w, last)),  # H_w(n) - H_w(n-1)
+                z ** np.arange(1, last + 1, dtype=float), out=products[:last])
+    value = float(products.sum())
     if z and terms >= len(w) and not value:  # c_n > 0 from n = |w| on
         raise ValueError("Li_w(z) underflows a float")
-    return value, _tail_bound(w, abs(z), terms)
+    return value, _tail_bound(w, x, terms)
 
 
 def _tail_bound(w, x, terms):

@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from ncgen.hopf import basis_pair
 from ncgen.ncpoly import NCPoly, series_exp, words_up_to
-from ncgen.polylog import harmonic, harmonic_float, polylog_eval
+from ncgen.polylog import (harmonic, harmonic_float, harmonic_truncated_series,
+                           polylog_eval)
 from ncgen.words import X, Y, lyndon_words, pi_x_word
 
 DEFAULT_N = 100000
@@ -173,7 +174,8 @@ def l_series(z, depth):
 
     Direct for z <= 1/2: the Lyndon-ordered product with the character
     log z on x0, -log(1-z) on x1 and Li_v(z) on every other word v, each
-    summed to 2000 terms (tail below 2^-2000).  For z > 1/2 the
+    summed to 2000 terms (tail below 2^-2000), computed up to the first n
+    with z^n == 0.0 (1075 at 1/2, 324 at 0.1).  For z > 1/2 the
     reflection at 1, sigma(L(1-z)) Z_sh, with 1 - z exact (Sterbenz).
     """
     _check_segment(z)
@@ -209,12 +211,6 @@ def chen_endpoint_sanity():
 
 # ---------------------------------------------------------------------------
 # Abel-type limits
-
-def harmonic_truncated_series(n, max_weight):
-    """H(n) as a float Y-series up to a weight (numpy-backed per word)."""
-    t = {w: harmonic_float(w, n) for w in words_up_to(Y, max_weight)}
-    return NCPoly(Y, t, max_weight)
-
 
 def n_side_limit_series(max_weight, n=DEFAULT_N):
     """exp(sum_k H_{y_k}(n) (-y1)^k / k) H(n)."""

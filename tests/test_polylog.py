@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from ncgen.ncpoly import NCPoly, is_grouplike, stuffle_words, words_up_to
 from ncgen.negpolylog import h_neg, h_neg_value
 from ncgen.polylog import (
-    FElem, QPoly, RatZ, StatePoly, harmonic, harmonic_array, harmonic_float, harmonic_series,
-    nested_sum, polylog_eval,
+    FElem, QPoly, RatZ, StatePoly, auto_terms, harmonic, harmonic_array,
+    harmonic_float, harmonic_series, harmonic_truncated_series, nested_sum,
+    nested_sum_array, polylog_eval,
 )
 from ncgen.words import Y, Y0
 
@@ -79,6 +83,51 @@ def test_harmonic_array_shape():
     arr = harmonic_array((2,), 10)
     assert arr[0] == 0.0
     assert abs(arr[10] - float(harmonic((2,), 10))) < 1e-14
+
+
+def _letter_by_letter(e, N):
+    """Float S_e(n), n = 0..N, one full column per letter from the right,
+    a fresh array at each step: the loop the sweep replaced."""
+    n = np.arange(1, N + 1, dtype=float)
+    col = np.ones(N + 1)
+    for k in reversed(tuple(e)):
+        contrib = np.zeros(N + 1)
+        contrib[1:] = n ** float(k) * col[:-1]
+        col = np.cumsum(contrib)
+    return col
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 1000, 100000])
+def test_nested_sum_array_is_the_letter_by_letter_loop(N):
+    for e in [(), (-1,), (-2, -1), (-1, -1, -3), (0, -2), (-3, 0, -1),
+              (2, 1), (-8, -1, -1, -1)]:
+        want = _letter_by_letter(e, N).tolist()
+        assert nested_sum_array(e, N).tolist() == want, e
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 1000, 100000])
+def test_harmonic_truncated_series_is_harmonic_float_per_word(n):
+    # one sweep over the suffix tree gives the floats of one sweep per word;
+    # n = 0 and n < |w| included, where H_w(n) = 0 is dropped
+    for d in range(6):
+        h = harmonic_truncated_series(n, d)
+        want = {w: harmonic_float(w, n) for w in words_up_to(Y, d)}
+        assert h.terms == {w: v for w, v in want.items() if v}, (n, d)
+        assert all(type(v) is float for v in h.terms.values())
+
+
+def test_harmonic_truncated_series_keeps_only_the_suffix_columns():
+    # the columns of the current word's suffixes, the index array and the
+    # column being built: d + 2 arrays of n + 1 floats at the most
+    n, d = 100000, 4
+    harmonic_truncated_series(10, 1)  # numpy imported before the count
+    tracemalloc.start()
+    try:
+        harmonic_truncated_series(n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (d + 2.5) * 8 * (n + 1)
 
 
 # -- generating series -------------------------------------------------
@@ -188,6 +237,47 @@ def test_li_tail_bound_keeps_the_order_of_equal_letters():
         ref = (-mpmath.log(1 - mpmath.mpf(0.99))) ** 6 / 720
     err, tail = _assert_tail_holds((1,) * 6, 0.99, 60, ref)
     assert tail <= 10 * err
+
+
+def test_li_underflow_is_refused_by_the_term_count():
+    # the sum ends where |z|^n is 0.0, which for these comes before n = |w|;
+    # every Li_w(z) here is positive, so a 0.0 is an underflow
+    with pytest.raises(ValueError, match="underflows"):
+        polylog_eval((1,) * 30, 2.0 ** -53, alphabet=Y)
+    with pytest.raises(ValueError, match="underflows"):
+        polylog_eval((2, 2, 2), 1e-200, alphabet=Y)
+    assert polylog_eval((1,), 5e-324) == (5e-324, 0.0)
+
+
+def _li_full(w, z, terms):
+    """Li_w(z) summed over all terms, the products past the underflow of
+    |z|^n (all 0.0) included."""
+    n = np.arange(0, terms + 1, dtype=float)
+    return float(np.sum(np.diff(harmonic_array(w, terms)) * z ** n[1:]))
+
+
+# 2^-k for k | 1075: |z|^n is 2^-1075, half the least subnormal, at n = 1075/k
+LI_Z = (0.5, -0.5, 0.3, -0.3, 0.1, 0.01, 1e-3, 2.0 ** -53, 0.9, 0.999,
+        2.0 ** -5, 2.0 ** -25, 2.0 ** -43)
+
+
+@pytest.mark.parametrize("z", LI_Z)
+def test_li_ends_where_the_powers_underflow_with_every_float_kept(z):
+    y0_words = [w for k in range(1, 4)
+                for w in itertools.product(range(4), repeat=k)
+                if 0 in w and sum(w) <= 5]
+    for w in [w for w in words_up_to(Y, 5) if w] + y0_words:
+        for terms in (None, 400):
+            full = _li_full(w, z, auto_terms(z) if terms is None else terms)
+            assert polylog_eval(w, z, terms, Y0)[0] == full, (w, z, terms)
+
+
+@pytest.mark.parametrize("z", [0.9, -0.95, 0.7])
+def test_li_past_the_underflow_keeps_the_pairwise_order_of_all_terms(z):
+    # 20000 terms, |z|^n 0.0 from n = 2089-14527 on: numpy sums pairwise,
+    # so the zeros past there keep the grouping of the terms before
+    for w in [(1,), (2,), (1, 1), (2, 1), (0, 1), (3, 1, 1)]:
+        assert polylog_eval(w, z, 20000, Y0)[0] == _li_full(w, z, 20000), w
 
 
 # -- RatZ coefficient ring ---------------------------------------------

@@ -4,12 +4,13 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from test_acceptance import budget
 
-from ncgen import renorm
+from ncgen import polylog, renorm
 from ncgen.ncpoly import is_grouplike, shuffle_words, stuffle_words
-from ncgen.polylog import harmonic, polylog_eval
+from ncgen.polylog import harmonic, harmonic_array, polylog_eval
 from ncgen.renorm import (
     TruncatedNCSeries,
     abel_limits_check,
@@ -275,6 +276,24 @@ def test_no_polylog_is_summed_past_one_half(monkeypatch):
     chen_between(0.3, 0.95, 4)
     abel_limits_check(3)
     assert seen and max(seen) <= 0.5
+
+
+@pytest.mark.parametrize("z", [0.5, 0.1])
+def test_li_columns_end_where_the_powers_underflow(monkeypatch, z):
+    # past the first n with z^n == 0.0 every product is 0.0: no column of
+    # the Li sums of L(z) reaches it (the full count is 2000 terms)
+    powers = z ** np.arange(1, 2001, dtype=float)
+    zero_at = int(np.flatnonzero(powers == 0)[0]) + 1
+    lengths = []
+
+    def recorder(w, N):
+        col = harmonic_array(w, N)
+        lengths.append(len(col))
+        return col
+
+    monkeypatch.setattr(polylog, "harmonic_array", recorder)
+    l_series(z, 6)
+    assert lengths and max(lengths) <= zero_at < 2001
 
 
 def test_l_series_next_to_one_against_mpmath():
