@@ -8,7 +8,8 @@ Subcommands:
   simulate  truncated Chen/Fliess output of a polynomial system
 
 Global flags: --format {text,json}, --precision DIGITS, --seed N.
-The environment variable NCGEN_MAX_DEPTH caps every depth-like argument.
+The environment variable NCGEN_MAX_DEPTH caps every depth-like argument,
+and the degree (weight + length) of an `eval hneg` word.
 The argument parser is built once per process and reused by every main().
 
 JSON output is json.dumps(payload, indent=2) byte for byte, floats
@@ -161,8 +162,12 @@ def _depth_cap(args):
         raise CLIError("NCGEN_MAX_DEPTH must be a positive integer, got %r"
                        % cap)
     cap = int(cap)
-    for attr in ("depth", "max_len", "max_weight", "max_n"):
-        val = getattr(args, attr, None)
+    sizes = {attr: getattr(args, attr, None)
+             for attr in ("depth", "max_len", "max_weight", "max_n")}
+    if getattr(args, "which", None) == "hneg":  # h_neg's cost grows with it
+        word = _parse_word(args.word)[0]
+        sizes["word degree"] = sum(word) + len(word)
+    for attr, val in sizes.items():
         if val is not None and val > cap:
             raise CLIError(
                 "%s=%d exceeds NCGEN_MAX_DEPTH=%d" % (attr, val, cap))

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ncgen.ncpoly import NCPoly, words_up_to
+from ncgen.ncpoly import NCPoly, residual_right, shuffle, words_up_to
 from ncgen.hopf import dual_s, pbw_p
 from ncgen.polylog import StatePoly
 from ncgen.renorm import _check_segment
@@ -371,31 +371,23 @@ def ode_reference_forms(system, z0, z1):
 # structural identities of the generating-series map
 
 def shuffle_morphism_check(system, f, g, depth):
-    """sigma(f g) = sigma(f) shuffle sigma(g), exact up to a depth."""
-    from ncgen.rational import shuffle_coefficient
-    sys_f = PolySystem(system.fields, f, system.q0)
-    sys_g = PolySystem(system.fields, g, system.q0)
-    sys_fg = PolySystem(system.fields, f * g, system.q0)
-    for w in words_up_to(X, depth):
-        lhs = sys_fg.fliess_coefficient(w)
-        rhs = shuffle_coefficient(sys_f.fliess_coefficient,
-                                  sys_g.fliess_coefficient, w)
-        if lhs != rhs:
-            return False
-    return True
+    """sigma(f g) = sigma(f) shuffle sigma(g), exact up to a depth: the
+    three series, each cut there, and one shuffle product."""
+    sigma_f, sigma_g, sigma_fg = (
+        PolySystem(system.fields, h, system.q0).generating_series(depth)
+        .truncate(depth) for h in (f, g, f * g))
+    return shuffle(sigma_f, sigma_g) == sigma_fg
 
 
 def residual_identity_check(system, u, depth):
-    """sigma(A(u) f) agrees with the left-shift of sigma(f) by u.
-
-    <sigma(A(u) f)|w> = <sigma(f)|u w> for all w (length <= depth - |u|).
-    """
+    """sigma(A(u) f) = sigma(f) |> u, <sigma(A(u) f)|w> = <sigma(f)|u w>,
+    for |w| <= max(depth - |u|, 0): one residual of one series."""
     u = tuple(u)
+    cut = max(depth - len(u), 0)
     shifted = PolySystem(system.fields, system.word_derivative(u), system.q0)
-    for w in words_up_to(X, depth - len(u)):
-        if shifted.fliess_coefficient(w) != system.fliess_coefficient(u + w):
-            return False
-    return True
+    full = system.generating_series(max(depth, len(u)))
+    return (shifted.generating_series(cut)
+            == residual_right(full, NCPoly.word(u)).truncate(cut))
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,12 @@ def p_neg(w):
 
 
 def p_neg_z_coefficient(w, N):
-    """Exact coefficient of z^N in p_neg(w), via t^k = sum C(N+k-1,k-1) z^N."""
+    """Exact coefficient of z^N in p_neg(w), via t^k = sum C(N+k-1,k-1) z^N
+    (p_neg = t Li^-_w has no constant term)."""
     total = Fraction(0)
     for k, c in enumerate(p_neg(w).coefs):
         if c and k:
             total += c * comb(N + k - 1, k - 1)
-        elif c and k == 0 and N == 0:
-            total += c
     return total
 
 

@@ -11,11 +11,12 @@ Contents:
     (TruncatedNCSeries is another name for it), and series_exp is
     ncpoly.series_exp;
   * one Lyndon-ordered product of exponentials, _lyndon_product, read
-    with a character: Li(z) for L(z), zeta for Z_st;
+    with a character, once per word: Li(z) for L(z), pi_Y(Z_sh) for Z_st;
   * regularized zeta characters for the shuffle (X) and stuffle (Y)
     sides (zero on the letters x0, x1 and y1): coefficients of Z_sh =
     sigma(L(1/2))^{-1} L(1/2) and of Z_st, each read at the depth of its
-    word from a functools.cache per depth (_z_sh, _z_st);
+    word from a functools.cache per depth (_z_sh, _z_st), Z_st(d) and the
+    bridge from the one Z_sh(d);
   * the two renormalized series Z and their comparison ("bridge"),
     which trades the letter y1 between the two sides;
   * L(z) past 1/2 by the reflection at 1, sigma(L(1-z)) Z_sh (Z_sh is
@@ -46,10 +47,12 @@ TruncatedNCSeries = NCPoly
 def _lyndon_product(alphabet, depth, value):
     """prod_l exp(<value|S_l> P_l) up to a depth (Sigma_l and Pi_l over Y):
     the ordered product over the Lyndon words l, largest leftmost, where
-    value(v) is the float that the character takes on the word v.  A
-    factor with a zero coefficient is 1 and skipped; {(): 1.0} at depth 0.
+    value(v) is the float that the character takes on the word v, read
+    once per word (a memo for this product only).  A factor with a zero
+    coefficient is 1 and skipped; {(): 1.0} at depth 0.
     """
     pbw, dual = basis_pair(alphabet)
+    value = functools.cache(value)
     out = NCPoly(alphabet, {(): 1.0}, depth)
     for l in reversed(lyndon_words(alphabet, max_length=depth,
                                    max_weight=depth)):
@@ -120,22 +123,23 @@ def z_shuffle_series(depth):
 @functools.cache
 def _z_st(depth):
     """z_stuffle_series, shared by every caller: read it, never change it."""
-    return _lyndon_product(Y, depth,
-                           lambda v: 0.0 if v == (1,) else zeta_numeric(v))
+    return _lyndon_product(Y, depth, _z_sh(depth).pi_y().coeff)
 
 
 def z_stuffle_series(depth):
     """Z for the stuffle side: product of exp(zeta(Sigma_l) Pi_l), l != y1,
-    zetas read off Z_sh (exact up to float rounding); a copy, so the
-    caller may change it."""
+    zetas read off pi_Y(Z_sh) at the same depth, 0 on y1 as Z_sh is on x1
+    (exact up to float rounding); a copy, so the caller may change it."""
     return NCPoly(Y, _z_st(depth).terms, depth)
 
 
 def bridge_series(depth):
-    """exp(-sum_{k>=2} zeta(k)(-y1)^k/k) * pi_Y(Z_shuffle)."""
-    coefs = {k: -zeta_numeric(k) * (-1.0) ** k / k
+    """exp(-sum_{k>=2} zeta(k)(-y1)^k/k) * pi_Y(Z_shuffle), zeta(k) read
+    off that pi_Y(Z_shuffle)."""
+    zeta = _z_sh(depth).pi_y()
+    coefs = {k: -zeta.coeff((k,)) * (-1.0) ** k / k
              for k in range(2, depth + 1)}
-    return ncpoly_exp_y1(coefs, depth) * _z_sh(depth).pi_y()
+    return ncpoly_exp_y1(coefs, depth) * zeta
 
 
 def rounding_tol(*series):
@@ -279,7 +283,8 @@ def euler_maclaurin_constants(n=DEFAULT_N, depth=4):
     series itself.
     """
     gamma = euler_gamma_estimate(n)
-    coefs = {k: -zeta_numeric(k) * (-1.0) ** k / k for k in range(2, depth + 1)}
+    zeta = _z_sh(depth).pi_y()
+    coefs = {k: -zeta.coeff((k,)) * (-1.0) ** k / k for k in range(2, depth + 1)}
     series = ncpoly_exp_y1({1: gamma, **coefs}, depth)
     h11 = harmonic_float((1, 1), n)
     logn = math.log(n)

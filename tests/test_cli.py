@@ -443,6 +443,28 @@ def test_depth_cap_env(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_depth_cap_env_counts_the_hneg_word_degree(capsys, monkeypatch):
+    # h_neg's Newton build scales with weight + length: y800 (degree 801)
+    # would run for seconds, y1600 for minutes; the cap refuses it at once
+    monkeypatch.setenv("NCGEN_MAX_DEPTH", "50")
+    for word, degree in (("y800", 801), ("y1600", 1601), ("y30 y20", 52)):
+        for extra in ((), ("--n", "3")):
+            code, out, err = run(capsys, "eval", "hneg", "--word", word,
+                                 *extra)
+            assert (code, out) == (2, "")
+            assert err == ("error: word degree=%d exceeds "
+                           "NCGEN_MAX_DEPTH=50\n" % degree)
+    # at the cap, and for li, whose cost the word degree does not set
+    code, out, _ = run(capsys, "eval", "hneg", "--word", "y30 y18",
+                       "--n", "2")
+    assert code == 0 and out == "H^-_{y30 y18}(2) = %d\n" % 2 ** 30
+    code, _, _ = run(capsys, "eval", "li", "--word", "y60", "--z", "0.5")
+    assert code == 0
+    monkeypatch.delenv("NCGEN_MAX_DEPTH")
+    code, out, _ = run(capsys, "eval", "hneg", "--word", "y60", "--n", "2")
+    assert code == 0 and out == "H^-_{y60}(2) = %d\n" % (1 + 2 ** 60)
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nosuch"])

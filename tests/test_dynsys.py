@@ -34,7 +34,8 @@ from ncgen.dynsys import (
     system_oscillator,
     system_vanderpol,
 )
-from ncgen.ncpoly import is_grouplike, words_up_to
+from ncgen import dynsys
+from ncgen.ncpoly import conc, is_grouplike, residual_left, words_up_to
 from ncgen.rational import rep_hypergeometric
 from ncgen.renorm import chen_between, l_series
 from ncgen.words import X
@@ -206,6 +207,22 @@ def test_sigma_residual_identity():
     system = system_hypergeometric(T0, T1, T2, q0)
     for u in [(0,), (1,), (0, 1)]:
         assert residual_identity_check(system, u, 4), u
+
+
+def test_fliess_identity_checks_can_fail(monkeypatch):
+    # each check is one comparison of two series: with the wrong product
+    # (conc for the shuffle) or a strip off the wrong end it must fail
+    system = system_hypergeometric(T0, T1, T2, (F(2, 3), F(-1, 5)))
+    q1 = StatePoly.coord(2, 0)
+    q2 = StatePoly.coord(2, 1)
+    product = PolySystem(system.fields, q1 * q2, system.q0)
+    assert len(product.generating_series(4).terms) >= 10
+    monkeypatch.setattr(dynsys, "shuffle", conc)
+    assert not shuffle_morphism_check(system, q1, q2, 4)
+    monkeypatch.setattr(dynsys, "residual_right",
+                        lambda S, P: residual_left(P, S))
+    for u in [(0,), (1,), (0, 1)]:
+        assert not residual_identity_check(system, u, 4), u
 
 
 def test_dyson_resummation_equals_fliess():

@@ -522,3 +522,28 @@ def test_coproducts_equal_the_term_by_term_loop(maps, kind, data):
                 if m:
                     want[(u, v)] = want.get((u, v), 0) + c * m
     _same(coproduct(P), {k: c for k, c in want.items() if c}, (kind,))
+
+
+# -- sums of series and the refusals of inverse and series_exp ----------
+
+def test_sum_of_series_is_cut_at_the_smaller_depth():
+    P = NCPoly(X, {(): 1, (0,): 2, (0, 1): 3, (1, 1, 0): 4}, 3)
+    Q = NCPoly(X, {(1,): 5, (0, 1): -3, (1, 0, 1): 6}, None)
+    R = NCPoly(X, {(1,): 1, (0, 0): 7}, 1)
+    assert (P + R).depth == (R + P).depth == 1
+    assert (P + R).terms == {(): 1, (0,): 2, (1,): 1}
+    assert (P + Q).depth == 3
+    assert (P + Q).terms == {(): 1, (0,): 2, (1,): 5, (1, 1, 0): 4,
+                             (1, 0, 1): 6}
+    assert (Q + R).terms == {(1,): 6}
+
+
+def test_inverse_and_series_exp_refusals():
+    with pytest.raises(ZeroDivisionError, match="no constant term"):
+        NCPoly(X, {(0,): 1}, 3).inverse()
+    with pytest.raises(ValueError, match="truncated"):
+        NCPoly(X, {(): 1, (0,): 1}).inverse()
+    with pytest.raises(ValueError, match="zero constant term"):
+        series_exp(NCPoly(X, {(): 1, (0,): 1}, 3))
+    with pytest.raises(ValueError, match="truncated"):
+        series_exp(NCPoly(X, {(0,): 1}))

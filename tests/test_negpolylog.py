@@ -1,5 +1,6 @@
 """Negative-index polylogarithms, harmonic sums, and the Faulhaber layer."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -198,6 +199,17 @@ def test_p_neg_generating_function():
         for n in range(0, 25):
             assert p_neg_z_coefficient(w, n) == h_neg_value(w, n), (w, n)
     assert p_neg((1,)) == QPoly([0, 0, -1, 1], "1/(1-z)")
+
+
+def test_p_neg_has_no_constant_term():
+    # p_neg = t Li^-_w, so its z^N coefficient needs no t^0 case
+    words = [w for n in range(4)
+             for w in itertools.product(range(5), repeat=n) if sum(w) <= 4]
+    assert len(words) == 1 + 5 + 15 + 35
+    for w in words:
+        assert p_neg(w).coefs[0] == 0, w
+    # the empty word: p_neg = t = sum_N z^N, so every coefficient is 1
+    assert [p_neg_z_coefficient((), n) for n in range(4)] == [1] * 4
 
 
 def test_stuffle_morphism_exact():

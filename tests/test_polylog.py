@@ -17,7 +17,7 @@ from ncgen.polylog import (
     harmonic_float, harmonic_series, harmonic_truncated_series, nested_sum,
     nested_sum_array, polylog_eval,
 )
-from ncgen.words import Y, Y0
+from ncgen.words import X, Y, Y0
 
 
 # -- harmonic sums -----------------------------------------------------
@@ -570,6 +570,18 @@ def test_eval_consistency():
 def test_eval_x0_powers():
     f = FElem.li((0, 0))
     assert abs(f.eval(0.5) - math.log(0.5) ** 2 / 2) < 1e-14
+
+
+def test_eval_empty_word_and_refused_word():
+    f = FElem.li((), Fraction(3)) + FElem.li((0, 1))
+    assert f.eval(0.5) == 3.0 + polylog_eval((0, 1), 0.5, alphabet=X)[0]
+    with pytest.raises(ValueError, match="cannot evaluate"):
+        FElem.li((1, 0)).eval(0.5)
+
+
+@pytest.mark.parametrize("z", [-0.5, 0.0, 0.3])
+def test_polylog_eval_of_the_empty_word_is_one(z):
+    assert polylog_eval((), z) == (1.0, 0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,11 @@
 """Renormalized series: zeta characters, bridge, Abel limits, constants."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -9,7 +13,9 @@ import pytest
 from test_acceptance import budget
 
 from ncgen import polylog, renorm
-from ncgen.ncpoly import is_grouplike, shuffle_words, stuffle_words
+from ncgen.hopf import basis_pair
+from ncgen.ncpoly import (is_grouplike, shuffle_words, stuffle_words,
+                          words_up_to)
 from ncgen.polylog import harmonic, harmonic_array, polylog_eval
 from ncgen.renorm import (
     TruncatedNCSeries,
@@ -34,7 +40,7 @@ from ncgen.renorm import (
     zeta_shuffle_reg,
     zeta_stuffle_reg,
 )
-from ncgen.words import X, Y
+from ncgen.words import X, Y, lyndon_words
 
 ZETA2 = math.pi ** 2 / 6.0
 ZETA3 = 1.2020569031595943
@@ -69,6 +75,12 @@ def test_li_numeric_values():
 def test_zeta_numeric_partial_sums():
     assert abs(zeta_numeric(2) - ZETA2) < 2e-4
     assert abs(zeta_numeric((2, 1)) - zeta_numeric(3)) < 5e-4
+
+
+@pytest.mark.parametrize("w", [1, (1,), (1, 2), (0, 3)])
+def test_zeta_numeric_refuses_a_divergent_word(w):
+    with pytest.raises(ValueError, match="divergent"):
+        zeta_numeric(w)
 
 
 def test_zeta_shuffle_reg_values():
@@ -312,3 +324,57 @@ def test_l_series_next_to_one_against_mpmath():
 def test_l_series_at_the_float_next_to_one_is_grouplike():
     lz = l_series(1 - 2 ** -52, 5)
     assert is_grouplike(lz, "shuffle", 5, tol=rounding_tol(lz))
+
+
+# --- one associator per depth: Z_st, the bridge and L(z) read each series once
+
+def test_z_sh_at_depth_8_agrees_bit_for_bit_with_each_word_depth():
+    # what lets Z_st(d) read every zeta off Z_sh(d) instead of Z_sh(|w|)
+    deep = renorm._z_sh(8)
+    for w in words_up_to(X, 8):
+        assert deep.coeff(w) == renorm._z_sh(len(w)).coeff(w), w
+
+
+def test_stuffle_duals_of_lyndon_words_start_past_y1():
+    # no word of Sigma_l (l != y1) starts with y1, so pi_Y(Z_sh) is read
+    # only where zeta converges
+    dual = basis_pair(Y)[1]
+    lyndon = [l for l in lyndon_words(Y, max_length=8, max_weight=8)
+              if l != (1,)]
+    assert len(lyndon) > 20
+    for l in lyndon:
+        assert all(v[0] >= 2 for v in dual(l).terms), l
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_z_st_character_is_pi_y_of_z_sh(depth):
+    zeta = renorm._z_sh(depth).pi_y()
+    assert (1,) not in zeta.terms
+    # the per-word character the stuffle product used to read, zeta(v)
+    # off Z_sh(|pi_X v|), gives the same floats
+    per_word = renorm._lyndon_product(
+        Y, depth, lambda v: 0.0 if v == (1,) else zeta_numeric(v))
+    assert renorm._z_st(depth) == per_word
+
+
+def test_cold_bridge_builds_one_associator():
+    code = ("from ncgen import renorm; renorm.bridge_check(8); "
+            "print(renorm._z_sh.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(renorm.__file__)
+                                          .resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out == "1\n"
+
+
+@pytest.mark.parametrize("depth, distinct", [(7, 40), (8, 73)])
+def test_l_series_sums_each_polylog_once(monkeypatch, depth, distinct):
+    seen = []
+
+    def recorder(w, z, *args, **kwargs):
+        seen.append(tuple(w))
+        return polylog_eval(w, z, *args, **kwargs)
+
+    monkeypatch.setattr(renorm, "polylog_eval", recorder)
+    l_series(0.4, depth)
+    assert len(seen) == len(set(seen)) == distinct
