@@ -23,9 +23,11 @@ quasi-shuffle Hopf algebra.
 
 Caches: P and Pi (`_pbw`) and the shuffle duals S (`_dual_s`), each keyed
 by word and alphabet, pi1 (`_pi1_word`), exp (`_exp`) and Sigma
-(`_dual_sigma`) on words are `functools.cache`s, so `_pbw.cache_info()`
-and so on report hits, misses and size.  The public names call them with
-tuple(w).  basis_pair picks the (P, S) pair of an alphabet.
+(`_dual_sigma`) on words, and the coordinates of one word in one basis
+(`_word_coordinates`, keyed by word, basis and alphabet) are
+`functools.cache`s, so `_pbw.cache_info()` and so on report hits, misses
+and size.  The public names call them with tuple(w).  basis_pair picks
+the (P, S) pair of an alphabet.
 """
 
 import functools
@@ -34,9 +36,8 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .ncpoly import (
-    NCPoly, _bilinear, _linear, _word_coproduct, conc, peel, shuffle,
-    shuffle_words, shuffle_power, stuffle, stuffle_words, stuffle_power,
-    words_up_to,
+    NCPoly, _bilinear, _linear, _power, _product, _word_coproduct, conc, peel,
+    shuffle_words, stuffle_words, words_up_to,
 )
 from .words import (
     X, Y, _compositions, _grading, cfl_factors, is_lyndon, lyndon_decompose,
@@ -54,15 +55,15 @@ def _bracket(a, b):
 def _pbw(w, alphabet):
     """P_w over X, Pi_w over Y: letters (pi1 of the letter over Y), brackets
     along the standard factorization, powers along the Lyndon factorization."""
+    if not w:
+        return NCPoly.one(alphabet)
     if len(w) == 1:
         return NCPoly.word(w, X) if alphabet == X else _pi1_word(w)
     if is_lyndon(w, alphabet):
         s, r = standard_factorization(w, alphabet)
         return _bracket(_pbw(s, alphabet), _pbw(r, alphabet))
-    out = NCPoly.one(alphabet)
-    for l in cfl_factors(w, alphabet):
-        out = conc(out, _pbw(l, alphabet))
-    return out
+    return functools.reduce(conc, (_pbw(l, alphabet)
+                                   for l in cfl_factors(w, alphabet)))
 
 
 def pbw_p(w):
@@ -80,12 +81,22 @@ def _dual_s(w, alphabet):
     while k < len(w) and is_lyndon(w[k:], alphabet):
         k += 1
     if k:
-        return conc(NCPoly.word(w[:k], alphabet), _dual_s(w[k:], alphabet))
-    out = NCPoly.one(alphabet)
+        return _dual_s(w[k:], alphabet).map_words(lambda v: w[:k] + v)
+    return _powers_over_factorials(w, alphabet,
+                                   lambda l: _dual_s(l, alphabet), False)
+
+
+def _powers_over_factorials(w, alphabet, dual, quasi):
+    """The product of dual(l)^i / i! over the Lyndon factorization
+    l1^i1 ... lk^ik of w, for the shuffle or, quasi, the stuffle; folded
+    from the first factor (1 for the empty word)."""
+    out = None
     for l, mult in lyndon_decompose(w, alphabet):
-        out = shuffle(out, shuffle_power(_dual_s(l, alphabet), mult))
-        out = out.scale(Fraction(1, factorial(mult)))
-    return out
+        power = _power(dual(l), mult, quasi)
+        out = power if out is None else _product(out, power, quasi)
+        if mult > 1:
+            out = out.scale(Fraction(1, factorial(mult)))
+    return NCPoly.one(alphabet) if out is None else out
 
 
 def dual_s(w):
@@ -170,11 +181,7 @@ def dual_sigma(w):
 
 def sigma_by_products(w):
     """Sigma_w from the stuffle-power product formula (needs the Lyndon Sigmas)."""
-    out = NCPoly.one(Y)
-    for l, mult in lyndon_decompose(w, Y):
-        out = stuffle(out, stuffle_power(dual_sigma(l), mult))
-        out = out.scale(Fraction(1, factorial(mult)))
-    return out
+    return _powers_over_factorials(w, Y, dual_sigma, True)
 
 
 def basis_pair(alphabet):
@@ -189,19 +196,30 @@ def basis_pair(alphabet):
 _BASIS_FN = {"S": dual_s, "P": pbw_p, "Sigma": dual_sigma, "Pi": pbw_pi}
 
 
-def decompose_in_basis(P, kind):
-    """Exact coordinates of P in one of the bases: kind in {"S","P","Sigma","Pi"}.
-
-    Triangular peeling (ncpoly.peel): S/Sigma have strictly smaller
-    tails, P/Pi strictly larger tails, so picking the extreme remaining
-    word and subtracting its basis element terminates.
-    """
+@functools.cache
+def _word_coordinates(u, kind, alphabet):
+    """The coordinates of the word u in a basis, by triangular peeling
+    (ncpoly.peel): S/Sigma have strictly smaller tails, P/Pi strictly
+    larger tails, so picking the extreme remaining word and subtracting
+    its basis element terminates."""
     basis = _BASIS_FN[kind]
-    alphabet = P.alphabet
-    coords, _ = peel(P.terms, lambda w: basis(w).terms,
+    coords, _ = peel({u: 1}, lambda w: basis(w).terms,
                      min if kind in ("P", "Pi") else max,
                      lambda w: word_key(w, alphabet))
     return coords
+
+
+def decompose_in_basis(P, kind):
+    """Coordinates of P in one of the bases: kind in {"S","P","Sigma","Pi"}.
+
+    The decomposition is linear, so it is the sum over the words u of P
+    of <P|u> times the coordinates of u, each word peeled once per
+    process (`_word_coordinates`).  Exact P gives exact coordinates;
+    float P gives floats, each one sum over the words of P (so its
+    rounding may differ from that of a peel of the whole of P).
+    """
+    return _linear(P.terms,
+                   lambda u: _word_coordinates(u, kind, P.alphabet))
 
 
 def recompose_from_basis(coords, kind, alphabet=None):

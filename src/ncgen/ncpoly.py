@@ -227,8 +227,8 @@ class NCPoly:
         rest = NCPoly._new(self.alphabet,
                            {w: -c / c0 for w, c in self.terms.items() if w},
                            self.depth)
-        out = power = _unit_series(self)
-        for _ in range(self.depth):
+        out, power = _unit_series(self) + rest, rest
+        for _ in range(self.depth - 1):
             power = power * rest
             if not power.terms:
                 break
@@ -327,15 +327,20 @@ def _bilinear(A, B, product=None, degree=len, cap=math.inf):
     """sum A[u] B[v] product(u, v) over the pairs of keys, zeros dropped:
     product(u, v) yields pairs (key, int multiplicity); None is u + v,
     kept inline because a call per pair measurably slows conc, the
-    hottest product.  Pairs with degree(u) + degree(v) > cap are skipped."""
+    hottest product.  Pairs with degree(u) + degree(v) > cap are never
+    visited: each u runs over the terms of B that fit its room,
+    cap - degree(u), one list per room in B's order."""
     (da, As), (db, Bs) = _numerators(A, B)
-    Bs = [(v, cv, degree(v)) for v, cv in Bs]
+    rooms = {math.inf: Bs}  # room -> the terms of B of degree <= room
+    degrees = [(v, cv, degree(v)) for v, cv in Bs] if cap < math.inf else ()
     t = {}
     for u, cu in As:
         room = cap - degree(u)
-        for v, cv, dv in Bs:
-            if dv > room:
-                continue
+        fits = rooms.get(room)
+        if fits is None:
+            fits = rooms[room] = [(v, cv) for v, cv, dv in degrees
+                                  if dv <= room]
+        for v, cv in fits:
             c = cu * cv
             if product is None:
                 w = u + v
@@ -376,8 +381,9 @@ def stuffle(P, Q):
 
 
 def _power(P, k, quasi):
-    out = _unit_series(P)
-    for _ in range(k):
+    """P^k for the shuffle or, quasi, the stuffle; P itself at k = 1."""
+    out = P if k else _unit_series(P)
+    for _ in range(k - 1):
         out = _product(out, P, quasi)
     return out
 
@@ -397,9 +403,8 @@ def series_exp(p):
         raise ValueError("series_exp needs a zero constant term")
     if p.depth is None:
         raise ValueError("series_exp needs a truncated series")
-    out = power = _unit_series(p)
-    one = p._unit()
-    for k in range(1, p.depth + 1):
+    out, power, one = _unit_series(p) + p, p, p._unit()
+    for k in range(2, p.depth + 1):
         power = power * p
         if not power.terms:
             break

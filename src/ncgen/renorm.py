@@ -49,17 +49,19 @@ def _lyndon_product(alphabet, depth, value):
     the ordered product over the Lyndon words l, largest leftmost, where
     value(v) is the float that the character takes on the word v, read
     once per word (a memo for this product only).  A factor with a zero
-    coefficient is 1 and skipped; {(): 1.0} at depth 0.
+    coefficient is 1 and skipped; the product starts from the first
+    factor, {(): 1.0} when there is none (at depth 0).
     """
     pbw, dual = basis_pair(alphabet)
     value = functools.cache(value)
-    out = NCPoly(alphabet, {(): 1.0}, depth)
+    out = None
     for l in reversed(lyndon_words(alphabet, max_length=depth,
                                    max_weight=depth)):
         coef = sum(float(c) * value(v) for v, c in dual(l).terms.items())
         if coef:
-            out = out * series_exp(pbw(l).truncate(depth).scale(coef))
-    return out
+            factor = series_exp(pbw(l).truncate(depth).scale(coef))
+            out = factor if out is None else out * factor
+    return NCPoly(alphabet, {(): 1.0}, depth) if out is None else out
 
 
 # ---------------------------------------------------------------------------

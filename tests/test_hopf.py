@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ncgen import hopf, ncpoly
 from ncgen.hopf import (
     _exp, decompose_in_basis, diagonal_factorization_check, dual_s,
     dual_sigma, pbw_p, pbw_pi, pi1, pi1_word, recompose_from_basis,
@@ -15,7 +16,7 @@ from ncgen.ncpoly import (
     NCPoly, _linear, conc, coproduct_stuffle, pi_y_poly, residual_left,
     residual_right, shuffle_words, stuffle, words_up_to,
 )
-from ncgen.words import X, Y, lyndon_words, weight
+from ncgen.words import X, Y, lyndon_words, weight, word_key
 
 
 def W(w, alphabet=X, c=1):
@@ -282,6 +283,76 @@ def test_linear_extensions_sum_term_by_term():
                 for w, c in coords.items():
                     want = want + pi1_word(w).scale(c)
                 assert pi1(P).terms == want.terms, to
+
+
+_BASES = {"S": (dual_s, X), "P": (pbw_p, X), "Sigma": (dual_sigma, Y),
+          "Pi": (pbw_pi, Y)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_BASES)), st.data())
+def test_decompose_equals_a_peel_of_the_whole_polynomial(kind, data):
+    # the coordinates are linear in P: summed word by word from each
+    # word's own peel, they equal one peel of all of P
+    basis, alphabet = _BASES[kind]
+    terms = data.draw(st.dictionaries(
+        st.sampled_from(words_up_to(alphabet, 6)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=6))
+    P = NCPoly(alphabet, terms)
+    want, rest = ncpoly.peel(P.terms, lambda w: basis(w).terms,
+                             min if kind in ("P", "Pi") else max,
+                             lambda w: word_key(w, alphabet))
+    assert rest == {}
+    got = decompose_in_basis(P, kind)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def test_each_word_is_peeled_once(monkeypatch):
+    peeled = []
+
+    def recorder(terms, *args):
+        peeled.extend(terms)
+        return ncpoly.peel(terms, *args)
+
+    monkeypatch.setattr(hopf, "peel", recorder)
+    cache = hopf._word_coordinates
+    cache.cache_clear()
+    words = [w for w in words_up_to(Y, 5) if sum(w) == 5]  # 16 words
+    first = NCPoly(Y, {w: i + 1 for i, w in enumerate(words[:10])})
+    decompose_in_basis(first, "Sigma")
+    assert sorted(peeled) == sorted(words[:10])
+    assert cache.cache_info().currsize == 10
+    # the same words again, with other coefficients: no peel
+    peeled.clear()
+    again = NCPoly(Y, {w: Fraction(-1, i + 2) for i, w in enumerate(words[:10])})
+    assert decompose_in_basis(again, "Sigma") != decompose_in_basis(first, "Sigma")
+    assert peeled == [] and cache.cache_info().currsize == 10
+    # six new words: six peels, six entries
+    decompose_in_basis(NCPoly(Y, dict.fromkeys(words, 3)), "Sigma")
+    assert sorted(peeled) == sorted(words[10:])
+    assert cache.cache_info().currsize == 16
+    # a word's coordinates in another basis are another entry
+    peeled.clear()
+    decompose_in_basis(first, "Pi")
+    assert sorted(peeled) == sorted(words[:10])
+    assert cache.cache_info().currsize == 26
+
+
+def test_float_input_gives_float_coordinates():
+    rng = random.Random(3)
+    for kind, (_, alphabet) in _BASES.items():
+        pool = [w for w in words_up_to(alphabet, 5) if w]
+        exact = {w: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+                 for w in rng.sample(pool, 6)}
+        want = decompose_in_basis(NCPoly(alphabet, exact), kind)
+        got = decompose_in_basis(
+            NCPoly(alphabet, {w: float(c) for w, c in exact.items()}), kind)
+        assert got.keys() == want.keys() and want, kind
+        for w, c in got.items():
+            assert type(c) is float, (kind, w)
+            assert abs(c - want[w]) <= 1e-14 * max(1, abs(want[w])), (kind, w)
 
 
 # -- diagonal series factorization ------------------------------------

@@ -9,8 +9,8 @@ from ncgen.hopf import _bracket, _tensor_mul
 from ncgen.ncpoly import (
     NCPoly, conc, coproduct_shuffle, coproduct_stuffle, grouplike_err,
     is_grouplike, peel, pi_x_poly, pi_y_poly, poly_to_str, residual_left,
-    residual_right, series_exp, shuffle, shuffle_words, stuffle,
-    stuffle_words, words_up_to,
+    residual_right, series_exp, shuffle, shuffle_power, shuffle_words,
+    stuffle, stuffle_power, stuffle_words, words_up_to,
 )
 from ncgen.words import X, Y, Y0, word_to_str
 
@@ -502,6 +502,59 @@ def test_tensor_mul_equals_the_term_by_term_loop(alphabet, ka, kb, depth,
                       for u, m in first(a[0], b[0]).items()])
     want = {k: c for k, c in loop.terms.items() if degree(k[0]) <= depth}
     _same(_tensor_mul(A, B, first, depth, degree), want, (ka, kb))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_PRODUCTS) + ["tensor"]), _KINDS, _KINDS,
+       st.integers(0, 6), st.data())
+def test_a_capped_product_is_the_uncut_product_truncated(name, ka, kb, cap,
+                                                          data):
+    # the cap only leaves out pairs: every kept value, float or exact,
+    # and the order of the kept words are those of the uncut product
+    if name == "tensor":
+        words = words_up_to(Y, 4)
+        pairs = [(u, v) for u in words for v in words[:6]]
+        A, B = (data.draw(_terms(pairs, k)) for k in (ka, kb))
+        got = _tensor_mul(A, B, stuffle_words, cap, sum)
+        want = {k: c for k, c in _tensor_mul(A, B, stuffle_words, math.inf,
+                                             sum).items() if sum(k[0]) <= cap}
+    else:
+        product, alphabet, _ = _PRODUCTS[name]
+        words = words_up_to(alphabet, 4)
+        a, b = (data.draw(_terms(words, k)) for k in (ka, kb))
+        P, Q = NCPoly(alphabet, a), NCPoly(alphabet, b)
+        capped = product(P.truncate(cap), Q.truncate(cap))
+        assert capped.depth == cap
+        got, want = capped.terms, product(P, Q).truncate(cap).terms
+    assert got == want
+    assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("power", [shuffle_power, stuffle_power])
+@pytest.mark.parametrize("one, depth", [(Fraction(1), None), (1.0, 4)])
+def test_powers_zero_and_one(power, one, depth):
+    P = NCPoly(Y, {(1,): one / 3, (2, 1): -2 * one}, depth)
+    unit = power(P, 0)
+    assert unit.terms == {(): one} and type(unit.terms[()]) is type(one)
+    assert unit.depth == depth and unit.alphabet == Y
+    assert power(P, 1) == P and power(P, 1).depth == depth
+    assert power(P, 2) == (shuffle if power is shuffle_power else stuffle)(P, P)
+
+
+@pytest.mark.parametrize("one", [Fraction(1), 1.0])
+def test_series_exp_and_inverse_at_depths_zero_and_one(one):
+    p = {(0,): 3 * one, (0, 1): one}
+    assert series_exp(NCPoly(X, p, 0)).terms == {(): 1}
+    exp1 = series_exp(NCPoly(X, p, 1))
+    assert exp1.terms == {(): one, (0,): 3 * one} and exp1.depth == 1
+    assert all(type(c) is type(one) for c in exp1.terms.values())
+    s = {(): 2 * one, (1,): one, (0, 0): one}
+    inv0 = NCPoly(X, s, 0).inverse()
+    assert inv0.terms == {(): one / 2} and inv0.depth == 0
+    inv1 = NCPoly(X, s, 1).inverse()  # 1/(2 + x1) = 1/2 - x1/4 + ...
+    assert inv1.terms == {(): one / 2, (1,): -one / 4} and inv1.depth == 1
+    assert all(type(c) is type(one)
+               for c in [*inv0.terms.values(), *inv1.terms.values()])
 
 
 @settings(max_examples=60, deadline=None)
