@@ -14,8 +14,8 @@ OUTERMOST: d/dz alpha_{x_i v}(z0 -> z) = omega_i(z) alpha_v(z0 -> z).
 With these pairings the output is y(z) = sum_w <sigma(f)|w> alpha_w.
 
 Chen series for the two singular forms dz/z and dz/(1-z) come either
-from the factorized polylog product (renorm.l_series) or from direct
-integration of the word ODE, both on segments inside (0, 1); one
+from the polylogarithms (renorm.l_series, L(z) = sum_w Li_w(z) w) or
+from direct integration of the word ODE, both on segments inside (0, 1); one
 function, _alphas, integrates the word ODE on any suffix-closed word
 list: every word up to a depth for chen_ode, the suffixes of one word
 for iterated_integral.  For ordinary (non-singular) constant controls on

@@ -255,15 +255,17 @@ def diagonal_factorization_check(alphabet, depth):
 
     lhs = tensor({(w, u): c for w in words_up_to(alphabet, depth)
                   for u, c in dual(w).terms.items()})
-    rhs = {((), ()): Fraction(1)}
-    for l in reversed(lynd):  # decreasing Lyndon order, left to right
+    rhs = {((), ()): Fraction(1)}  # at depth 0, where there is no factor
+    for i, l in enumerate(reversed(lynd)):  # decreasing Lyndon order
         base = tensor({(l, u): c for u, c in dual(l).terms.items()})
-        powers = [{((), ()): 1}]  # exp = sum_k base^k / k!, in one pass
-        while len(powers) * degree(l) <= depth and powers[-1]:
+        powers = [base]  # base^(k+1) at k: exp = 1 + sum_k base^k / k!
+        while (len(powers) + 1) * degree(l) <= depth and powers[-1]:
             powers.append(_tensor_mul(powers[-1], base, first_product, depth,
                                       degree))
-        factor = _linear({k: Fraction(1, factorial(k))
-                          for k in range(len(powers))}, powers.__getitem__)
-        rhs = _tensor_mul(rhs, factor, first_product, depth, degree)
+        factor = {((), ()): Fraction(1), **_linear(
+            {k: Fraction(1, factorial(k + 1)) for k in range(len(powers))},
+            powers.__getitem__)}
+        rhs = factor if i == 0 else _tensor_mul(rhs, factor, first_product,
+                                                depth, degree)
 
     return lhs == rhs

@@ -171,18 +171,31 @@ def polylog_eval(w, z, terms=None, alphabet=None):
         return 1.0, 0.0
     if terms is None:
         terms = auto_terms(z)
-    import numpy as np
-    # |z|^n falls with n; past the last n where it is not 0.0 the products
-    # are 0.0, and as zeros they keep the grouping of numpy's pairwise sum
-    x = abs(z)
-    last = bisect(range(1, terms + 1), False, key=lambda n: not x ** n)
-    products = np.zeros(max(terms, 0))
-    np.multiply(np.diff(harmonic_array(w, last)),  # H_w(n) - H_w(n-1)
-                z ** np.arange(1, last + 1, dtype=float), out=products[:last])
-    value = float(products.sum())
+    powers = _li_powers(z, terms)
+    value = _li_sum(harmonic_array(w, len(powers)), powers, terms)
     if z and terms >= len(w) and not value:  # c_n > 0 from n = |w| on
         raise ValueError("Li_w(z) underflows a float")
-    return value, _tail_bound(w, x, terms)
+    return value, _tail_bound(w, abs(z), terms)
+
+
+def _li_powers(z, terms):
+    """z^n for n = 1 up to the last n <= terms with |z|^n != 0.0, as a
+    numpy array: past it every term of a Li sum at z is 0.0."""
+    import numpy as np
+    x = abs(z)
+    last = bisect(range(1, terms + 1), False, key=lambda n: not x ** n)
+    return z ** np.arange(1, last + 1, dtype=float)
+
+
+def _li_sum(column, powers, terms):
+    """The partial sum of Li_w(z) to terms terms from the float column
+    H_w(0..n) (or S_e) and powers = _li_powers(z, terms), n = len(powers):
+    the products (H_w(n) - H_w(n-1)) z^n, then terms - n products 0.0,
+    which as zeros keep the grouping of numpy's pairwise sum."""
+    import numpy as np
+    products = np.zeros(max(terms, 0))
+    np.multiply(np.diff(column), powers, out=products[:len(powers)])
+    return float(products.sum())
 
 
 def _tail_bound(w, x, terms):

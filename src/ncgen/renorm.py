@@ -1,29 +1,37 @@
 """Renormalized generating series of polylogarithms and harmonic sums.
 
-Everything here is numeric (float coefficients) but structurally exact:
-series are built as ordered products of exponentials of the primitive
-basis elements, so grouplikeness and character identities hold up to
-floating-point rounding.  So do the zeta values: no partial sum enters
-them (DEFAULT_N is the N of the N-side harmonic sums only).
+Everything here is numeric (float coefficients), read off identities at
+the three points 0, 1 and +infinity, so grouplikeness and character
+identities hold up to floating-point rounding.  So do the zeta values
+and the constants at +infinity: no partial sum at a large N enters them
+(DEFAULT_N is the n the N-side functions accept and no longer use).
 
 Contents:
   * the series are ncpoly.NCPoly with float coefficients and a depth
     (TruncatedNCSeries is another name for it), and series_exp is
     ncpoly.series_exp;
-  * one Lyndon-ordered product of exponentials, _lyndon_product, read
-    with a character, once per word: Li(z) for L(z), pi_Y(Z_sh) for Z_st;
+  * L(z) for z <= 1/2 coefficient by coefficient: the words ending in x1
+    from one nested-sum sweep at z, the words ending in x0 by the shuffle
+    with x0 (Li_{x0} = log z);
   * regularized zeta characters for the shuffle (X) and stuffle (Y)
     sides (zero on the letters x0, x1 and y1): coefficients of Z_sh =
-    sigma(L(1/2))^{-1} L(1/2) and of Z_st, each read at the depth of its
-    word from a functools.cache per depth (_z_sh, _z_st), Z_st(d) and the
-    bridge from the one Z_sh(d);
+    sigma(L(1/2))^{-1} L(1/2), each an antipode sum over the cuts of its
+    word, and of Z_st, each read at the depth of its word from a
+    functools.cache per depth (_z_sh, _z_st), Z_st(d) and the bridge from
+    the one Z_sh(d);
+  * one Lyndon-ordered product of exponentials, _lyndon_product, read
+    with a character once per word: pi_Y(Z_sh) gives Z_st, so the bridge
+    compares two independent constructions;
   * the two renormalized series Z and their comparison ("bridge"),
     which trades the letter y1 between the two sides;
   * L(z) past 1/2 by the reflection at 1, sigma(L(1-z)) Z_sh (Z_sh is
     Drinfeld's KZ associator), so no Li is summed at z > 1/2;
   * the z -> 1 / N -> infinity Abel-type comparison of the polylog and
-    harmonic-sum generating series, the z side at the float below 1;
-  * Euler-Maclaurin constants (gamma and the y1^2 coefficient);
+    harmonic-sum generating series, the z side at the float below 1, the
+    N side the constants of the asymptotic expansions of the H_w(N)
+    (asymptotics.harmonic_expansion);
+  * Euler-Maclaurin constants (gamma and the y1^2 coefficient), read off
+    the same constants;
   * the single-variable monomial/constant-part series in y1.
 """
 
@@ -31,10 +39,11 @@ import functools
 import math
 from fractions import Fraction
 
+from ncgen.asymptotics import harmonic_expansion
 from ncgen.hopf import basis_pair
 from ncgen.ncpoly import NCPoly, series_exp, words_up_to
-from ncgen.polylog import (harmonic, harmonic_float, harmonic_truncated_series,
-                           polylog_eval)
+from ncgen.polylog import (_li_powers, _li_sum, auto_terms, harmonic,
+                           nested_sum_sweep, polylog_eval)
 from ncgen.words import X, Y, lyndon_words, pi_x_word
 
 DEFAULT_N = 100000
@@ -82,10 +91,17 @@ def _sigma(s):
 @functools.cache
 def _z_sh(depth):
     """Z_sh = sigma(L(1/2))^{-1} L(1/2) up to a depth, the regularized
-    value of L at 1 (Drinfeld's KZ associator); each Li at 1/2 converges
-    like 2^-n.  Shared by every caller: read it, never change it."""
-    half = l_series(0.5, depth)
-    return _sigma(half).inverse() * half
+    value of L at 1 (Drinfeld's KZ associator), coefficient by coefficient:
+    the inverse of the grouplike sigma(L) is its antipode, so
+    <Z_sh|w> = sum_{w = uv} <L(1/2)|swap(rev u)> <L(1/2)|v>, |w| + 1
+    products and no series product (the Hoelder convolution at p = 2).
+    Shared by every caller: read it, never change it."""
+    words = words_up_to(X, depth)
+    half = l_series(0.5, depth).terms
+    anti = {u: half.get(tuple(1 - a for a in reversed(u)), 0.0) for u in words}
+    return NCPoly(X, {w: sum(anti[w[:j]] * half.get(w[j:], 0.0)
+                             for j in range(len(w) + 1)) for w in words},
+                  depth)
 
 
 def zeta_numeric(w):
@@ -175,21 +191,38 @@ def _check_segment(*zs):
 
 
 def l_series(z, depth):
-    """L(z) = e^{-log(1-z) x1} prod_l exp(Li_{S_l}(z) P_l) e^{log(z) x0}
-    up to words of length depth, for 0 < z < 1 (ValueError otherwise).
+    """L(z) = sum_w Li_w(z) w up to words of length depth, for 0 < z < 1
+    (ValueError otherwise); it equals e^{-log(1-z) x1} prod_l
+    exp(Li_{S_l}(z) P_l) e^{log(z) x0}.
 
-    Direct for z <= 1/2: the Lyndon-ordered product with the character
-    log z on x0, -log(1-z) on x1 and Li_v(z) on every other word v, each
-    summed to 2000 terms (tail below 2^-2000), computed up to the first n
-    with z^n == 0.0 (1075 at 1/2, 324 at 0.1).  For z > 1/2 the
-    reflection at 1, sigma(L(1-z)) Z_sh, with 1 - z exact (Sterbenz).
+    For z <= 1/2 coefficient by coefficient.  Li_{x1} = -log(1-z), and
+    every other word ending in x1 is summed as polylog_eval sums it (2000
+    terms, tail below 2^-2000, computed up to the first n with
+    z^n == 0.0: 1075 at 1/2, 324 at 0.1), all from one nested_sum_sweep
+    over their Y-codes that builds each column once.  A word u x0^k (u
+    empty or ending in x1) comes from x0 shuffled into u x0^(k-1):
+    Li_{u x0^k} = (log z Li_{u x0^(k-1)} - sum_v Li_{v x0^(k-1)}) / k, v
+    running over u with one x0 put in before one of its letters.  For
+    z > 1/2 the reflection at 1, sigma(L(1-z)) Z_sh, with 1 - z exact
+    (Sterbenz).
     """
     _check_segment(z)
     if z > 0.5:
         return _sigma(l_series(1.0 - z, depth)) * _z_sh(depth)
-    letters = {(0,): math.log(z), (1,): -math.log(1.0 - z)}
-    return _lyndon_product(X, depth, lambda v: letters[v] if v in letters
-                           else polylog_eval(v, z, alphabet=X)[0])
+    terms = auto_terms(z)
+    powers = _li_powers(z, terms)
+    li = {(): 1.0, (1,): -math.log(1.0 - z)}
+    for e, column in nested_sum_sweep(  # every Y-code of weight <= depth
+            len(powers), lambda e: range(-1, -depth - sum(e) - 1, -1)):
+        if e not in ((), (-1,)):  # 1 and -log(1 - z) above
+            li[pi_x_word([-k for k in e])] = _li_sum(column, powers, terms)
+    log_z, heads = math.log(z), list(li)  # (), and the words ending in x1
+    for k in range(1, depth + 1):  # trailing runs x0^k, shortest first
+        for u in [u for u in heads if len(u) + k <= depth]:
+            head = u + (0,) * (k - 1)
+            li[head + (0,)] = (log_z * li[head] - sum(
+                li[u[:i] + (0,) + head[i:]] for i in range(len(u)))) / k
+    return NCPoly(X, li, depth)
 
 
 def chen_between(z0, z1, depth):
@@ -219,8 +252,13 @@ def chen_endpoint_sanity():
 # Abel-type limits
 
 def n_side_limit_series(max_weight, n=DEFAULT_N):
-    """exp(sum_k H_{y_k}(n) (-y1)^k / k) H(n)."""
-    h = harmonic_truncated_series(n, max_weight)
+    """The limit N -> infinity of exp(sum_k H_{y_k}(N) (-y1)^k / k) H(N):
+    its log-free constant term in the scale log^j N / N^k.  Setting
+    log N = 1/N = 0 is a ring morphism, so it is the same product over
+    the constants C_w of harmonic_expansion (C_{y1} = gamma).  n is
+    accepted and unused; no partial sum enters."""
+    h = NCPoly(Y, {w: harmonic_expansion(w)[0, 0]
+                   for w in words_up_to(Y, max_weight)}, max_weight)
     coefs = {k: h.coeff((k,)) * (-1.0) ** k / k
              for k in range(1, max_weight + 1)}
     return ncpoly_exp_y1(coefs, max_weight) * h
@@ -240,10 +278,12 @@ def abel_limits_check(max_weight=3, n=DEFAULT_N):
     (j <= weight) and rounds by about u |log eps|^j; they balance at
     eps = u = 2^-53.  So "fitted" is the z side at 1 - 2^-53, the float
     next below 1, and "raw_endpoint" the one at eps = 1e-3 (eps_list).
-    Pass iff every gap of "fitted" to the N-side value is <= tol.
+    The N side is the limit itself, n_side_limit_series, read off the
+    asymptotic expansions of the H_w(N); n is accepted, reported and
+    unused.  Pass iff every gap of "fitted" to the N-side value is <= tol.
     """
     eps_list, tol = (1e-3, 2.0 ** -53), 1e-3
-    n_side = n_side_limit_series(max_weight, n)
+    n_side = n_side_limit_series(max_weight)
     z_target = _z_sh(max_weight).pi_y()
     raw, limit = (z_side_series(1.0 - eps, max_weight) for eps in eps_list)
     report = {}
@@ -271,30 +311,28 @@ def abel_limits_check(max_weight=3, n=DEFAULT_N):
 # Euler-Maclaurin constants and the y1-only series
 
 def euler_gamma_estimate(n=DEFAULT_N):
-    """gamma from H_{y1}(n) with the 1/(2n) - 1/(12n^2) correction."""
-    h = harmonic_float((1,), n)
-    return h - math.log(n) - 1.0 / (2.0 * n) + 1.0 / (12.0 * n * n)
+    """gamma, the constant of the asymptotic expansion of H_{y1}(N)
+    (log N + gamma + 1/(2N) - ...); n is accepted and unused."""
+    return harmonic_expansion((1,))[0, 0]
 
 
 def euler_maclaurin_constants(n=DEFAULT_N, depth=4):
     """The y1-direction renormalization constants.
 
     Returns gamma, the y1^2 coefficient of exp(gamma y1 - sum_{k>=2}
-    zeta(k)(-y1)^k/k) (which equals (gamma^2 - zeta(2))/2), a direct
-    numeric estimate of the same constant from H_{y1 y1}(n), and the
-    series itself.
+    zeta(k)(-y1)^k/k) (which equals (gamma^2 - zeta(2))/2, zeta(k) read
+    off Z_sh), the same constant read off H_{y1 y1}(N) directly, as the
+    constant of its asymptotic expansion, and the series itself.  n is
+    accepted and unused; no partial sum enters.
     """
-    gamma = euler_gamma_estimate(n)
+    gamma = euler_gamma_estimate()
     zeta = _z_sh(depth).pi_y()
     coefs = {k: -zeta.coeff((k,)) * (-1.0) ** k / k for k in range(2, depth + 1)}
     series = ncpoly_exp_y1({1: gamma, **coefs}, depth)
-    h11 = harmonic_float((1, 1), n)
-    logn = math.log(n)
-    numeric = h11 - logn ** 2 / 2.0 - gamma * logn
     return {
         "gamma": gamma,
         "gamma_y1y1": series.coeff((1, 1)),
-        "gamma_y1y1_numeric": numeric,
+        "gamma_y1y1_numeric": harmonic_expansion((1, 1))[0, 0],
         "series": series,
     }
 

@@ -231,11 +231,13 @@ def str_to_word(s):
         alphabet = Y
     else:
         raise ValueError("cannot parse word %r: mixed or unknown letter prefixes" % s)
+    bad = [t for t in toks if not (t[1:].isascii() and t[1:].isdigit())]
+    if bad:  # int() would also take "0_1", "+1" and non-ASCII digits
+        raise ValueError("bad letter %r in %r: its index must be ASCII digits"
+                         % (bad[0], s))
     w = tuple(int(t[1:]) for t in toks)
     if alphabet == X and any(a not in (0, 1) for a in w):
         raise ValueError("X letters are x0 and x1 only: %r" % s)
-    if alphabet == Y and any(a < 0 for a in w):
-        raise ValueError("bad y index in %r" % s)
     if alphabet == Y and any(a == 0 for a in w):
         alphabet = Y0
     return w, alphabet

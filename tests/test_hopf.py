@@ -367,6 +367,21 @@ def test_diagonal_factorization_y():
     assert diagonal_factorization_check(Y, 4)
 
 
+@pytest.mark.parametrize("alphabet", [X, Y])
+def test_diagonal_factorization_never_multiplies_by_the_unit(monkeypatch,
+                                                              alphabet):
+    unit, operands = {((), ()): 1}, []
+    tensor_mul = hopf._tensor_mul
+
+    def recorder(A, B, *args):
+        operands.extend((A, B))
+        return tensor_mul(A, B, *args)
+
+    monkeypatch.setattr(hopf, "_tensor_mul", recorder)
+    assert diagonal_factorization_check(alphabet, 6)
+    assert operands and all(op != unit for op in operands)
+
+
 def test_diagonal_factorization_catches_a_stray_term(monkeypatch):
     # the check is not vacuous: a stray word in S_{x0} breaks it over X
     from ncgen import hopf

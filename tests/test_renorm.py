@@ -6,17 +6,23 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import budget
 
-from ncgen import polylog, renorm
+from ncgen import asymptotics, polylog, renorm
+from ncgen.asymptotics import expansion_value, harmonic_expansion
 from ncgen.hopf import basis_pair
 from ncgen.ncpoly import (is_grouplike, shuffle_words, stuffle_words,
                           words_up_to)
-from ncgen.polylog import harmonic, harmonic_array, polylog_eval
+from ncgen.polylog import (_li_powers, harmonic, nested_sum_sweep,
+                           polylog_eval)
 from ncgen.renorm import (
     TruncatedNCSeries,
     abel_limits_check,
@@ -277,13 +283,16 @@ def test_reflection_at_one_against_the_direct_product(depth):
 
 
 def test_no_polylog_is_summed_past_one_half(monkeypatch):
+    # every Li partial sum, in one sweep or in polylog_eval, takes the
+    # powers of its z from _li_powers
     seen = []
 
-    def recorder(w, z, *args, **kwargs):
+    def recorder(z, terms):
         seen.append(z)
-        return polylog_eval(w, z, *args, **kwargs)
+        return _li_powers(z, terms)
 
-    monkeypatch.setattr(renorm, "polylog_eval", recorder)
+    monkeypatch.setattr(renorm, "_li_powers", recorder)
+    monkeypatch.setattr(polylog, "_li_powers", recorder)
     l_series(0.9, 5)
     chen_between(0.3, 0.95, 4)
     abel_limits_check(3)
@@ -298,12 +307,12 @@ def test_li_columns_end_where_the_powers_underflow(monkeypatch, z):
     zero_at = int(np.flatnonzero(powers == 0)[0]) + 1
     lengths = []
 
-    def recorder(w, N):
-        col = harmonic_array(w, N)
-        lengths.append(len(col))
-        return col
+    def recorder(N, letters):
+        for e, col in nested_sum_sweep(N, letters):
+            lengths.append(len(col))
+            yield e, col
 
-    monkeypatch.setattr(polylog, "harmonic_array", recorder)
+    monkeypatch.setattr(renorm, "nested_sum_sweep", recorder)
     l_series(z, 6)
     assert lengths and max(lengths) <= zero_at < 2001
 
@@ -367,14 +376,165 @@ def test_cold_bridge_builds_one_associator():
     assert out == "1\n"
 
 
-@pytest.mark.parametrize("depth, distinct", [(7, 40), (8, 73)])
-def test_l_series_sums_each_polylog_once(monkeypatch, depth, distinct):
-    seen = []
+@pytest.mark.parametrize("depth, columns", [(7, 128), (8, 256)])
+def test_l_series_sums_each_polylog_once(monkeypatch, depth, columns):
+    # one sweep per L(z), with a column for each Y-code of weight <= depth
+    # (2^depth of them, () among them), each built once; no word is summed
+    # on its own
+    sweeps, seen, alone = [], [], []
 
-    def recorder(w, z, *args, **kwargs):
-        seen.append(tuple(w))
-        return polylog_eval(w, z, *args, **kwargs)
+    def recorder(N, letters):
+        sweeps.append(N)
+        for e, col in nested_sum_sweep(N, letters):
+            seen.append(e)
+            yield e, col
 
-    monkeypatch.setattr(renorm, "polylog_eval", recorder)
+    monkeypatch.setattr(renorm, "nested_sum_sweep", recorder)
+    monkeypatch.setattr(renorm, "polylog_eval",
+                        lambda *args, **kwargs: alone.append(args))
     l_series(0.4, depth)
-    assert len(seen) == len(set(seen)) == distinct
+    assert len(sweeps) == 1 and not alone
+    assert len(seen) == len(set(seen)) == columns
+
+
+@pytest.mark.parametrize("z", [0.5, 0.4, 0.1, 1e-3, 2.0 ** -53])
+def test_l_series_convergent_coefficients_are_polylog_eval(z):
+    # bit for bit: the sweep builds each column as polylog_eval does, and
+    # sums it the same way; x1 is -log(1 - z), not a sum
+    lz = l_series(z, 8)
+    words = [w for w in words_up_to(X, 8) if w[-1:] == (1,) and w != (1,)]
+    assert len(words) == 254
+    for w in words:
+        assert lz.coeff(w) == polylog_eval(w, z, alphabet=X)[0], w
+    assert lz.coeff((1,)) == -math.log(1.0 - z)
+    # and each coefficient depends on its word only
+    shallow = l_series(z, 5)
+    assert all(lz.coeff(w) == c for w, c in shallow.terms.items())
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5, 7])
+def test_l_series_meets_the_lyndon_product(depth):
+    for z in (0.01, 0.1, 0.25, 0.4, 0.5):
+        lhs, rhs = l_series(z, depth), direct_l(z, depth)
+        assert set(lhs.terms) == set(rhs.terms)
+        assert lhs.max_abs_diff(rhs) <= rounding_tol(lhs, rhs), (z, depth)
+
+
+def test_bridge_error_is_not_above_the_lyndon_route():
+    # bridge_check(8) and (10) when Z_sh was sigma(L(1/2))^-1 L(1/2) with
+    # L(1/2) a Lyndon product of exponentials
+    assert bridge_check(8)["max_abs_err"] <= 2.842170943040401e-14
+    assert bridge_check(10)["max_abs_err"] <= 6.679101716144942e-13
+
+
+def test_zetas_at_weight_12_meet_their_closed_forms():
+    with mpmath.workdps(40):
+        pi12 = mpmath.pi ** 12
+        cases = {(2,) * 6: pi12 / mpmath.factorial(13),      # zeta({2}^n)
+                 (3, 1) * 3: 2 * pi12 / mpmath.factorial(14),  # zeta({3,1}^n)
+                 (12,): mpmath.zeta(12)}
+        for w, want in cases.items():
+            got = zeta_numeric(w)
+            assert abs(got - want) <= 1e-15 * want, w
+
+
+def test_duality_holds_through_depth_12():
+    # zeta(w) = zeta(swap(rev w)) on every convergent X-word
+    z = renorm._z_sh(12)
+    for w in words_up_to(X, 12):
+        if w[:1] == (0,) and w[-1:] == (1,):
+            dual = tuple(1 - a for a in reversed(w))
+            assert abs(z.coeff(w) - z.coeff(dual)) <= 1e-15, w
+
+
+def test_cold_z_sh_at_depth_12_is_fast():
+    # _z_sh is the only cache on its path, so clearing it makes it cold;
+    # the fastest of three keeps a busy host from failing the test
+    times = []
+    for _ in range(3):
+        renorm._z_sh.cache_clear()
+        t = time.perf_counter()
+        renorm._z_sh(12)
+        times.append(time.perf_counter() - t)
+    assert min(times) < 0.5, times
+
+
+# --- renormalization at +infinity: the asymptotic expansion of H_w(N) --------
+
+def _fixed_point_harmonic(w, N, bits=256):
+    """H_w(n), n = 0..N, as integers over 2^bits: each term n^-s rounded
+    down, so the error is below N |w| 2^-bits."""
+    col = [1 << bits] * (N + 1)
+    for s in reversed(w):
+        new = [0] * (N + 1)
+        for n in range(1, N + 1):
+            new[n] = new[n - 1] + col[n - 1] // n ** s
+        col = new
+    return col
+
+
+def test_fixed_point_reference_is_the_exact_sum():
+    for w in [(1,), (3,), (1, 1), (2, 1, 1), (1, 2, 3), (1,) * 6]:
+        col = _fixed_point_harmonic(w, 300)
+        for N in (asymptotics.N0, 123, 300):
+            exact = harmonic(w, N)
+            assert abs(Fraction(col[N], 1 << 256) - exact) < 2.0 ** -200, w
+
+
+_Y6 = [w for w in words_up_to(Y, 6) if w]
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.sampled_from(_Y6), N=st.integers(asymptotics.N0, 10 ** 4))
+def test_harmonic_expansion_meets_the_exact_sums(w, N):
+    want = _fixed_point_harmonic(w, N)[N] / 2.0 ** 256
+    got = expansion_value(harmonic_expansion(w), N)
+    assert abs(got - want) <= 1e-14 * abs(want), (w, N, got, want)
+
+
+def test_gamma_is_the_constant_of_h_y1():
+    with mpmath.workdps(30):
+        for gamma in (renorm.euler_gamma_estimate(),
+                      euler_maclaurin_constants()["gamma"]):
+            assert abs(gamma - mpmath.euler) <= 1e-15
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_verify_abel_passes_at_depths_4_and_5(depth):
+    report = abel_limits_check(depth)
+    assert report["pass"] and report["max_fitted_gap"] < 1e-8, report
+
+
+def test_n_side_builds_no_harmonic_column_past_n0(monkeypatch):
+    # the N side and the constants read the expansions of H_w(N): exact
+    # sums at N0 only, and no float harmonic sum; every float column built
+    # is a Li column of one L(z) at z <= 1/2, cut where z^n underflows
+    asymptotics.harmonic_expansion.cache_clear()
+    exact, cuts, sweeps = [], [], []
+
+    def exact_sum(w, N):
+        exact.append(N)
+        return harmonic(w, N)
+
+    def powers(z, terms):
+        p = _li_powers(z, terms)
+        cuts.append(len(p))
+        return p
+
+    def sweep(N, letters):
+        sweeps.append(N)
+        return nested_sum_sweep(N, letters)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a float harmonic sum was built")
+
+    monkeypatch.setattr(asymptotics, "harmonic", exact_sum)
+    monkeypatch.setattr(renorm, "_li_powers", powers)
+    monkeypatch.setattr(renorm, "nested_sum_sweep", sweep)
+    for name in ("harmonic_array", "harmonic_float",
+                 "harmonic_truncated_series", "nested_sum_sweep"):
+        monkeypatch.setattr(polylog, name, forbidden)
+    assert abel_limits_check(4)["pass"]
+    euler_maclaurin_constants()
+    assert exact and set(exact) == {asymptotics.N0}
+    assert sweeps == cuts and max(sweeps) <= 1075
