@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
-from ncgen.ncpoly import NCPoly, _bilinear, _over_lcm
+from ncgen.ncpoly import NCPoly, _bilinear, _over_lcm, words_up_to
 from ncgen.words import X, Y, pi_y_word
 
 # exponent word e -> its integer column N_e(0), N_e(1), ... and n -> lcm(1..n):
@@ -117,24 +117,10 @@ def harmonic_float(w, N):
 
 
 def harmonic_series(N, max_weight):
-    """Truncated generating series H(N) = sum_w H_w(N) w over Y, exact.
-
-    Built from the product (1 + sum_k y_k/N^k)(...)(1 + sum_k y_k/1^k),
-    largest index leftmost, which encodes the difference equations.
-    """
-    out = NCPoly.one(Y).truncate(max_weight)
-    for n in range(1, N + 1):
-        factor = {(k,): Fraction(1, n ** k) for k in range(1, max_weight + 1)}
-        out = (NCPoly.one(Y) + NCPoly(Y, factor)) * out
-    return out
-
-
-def harmonic_truncated_series(n, max_weight):
-    """H(n) as a float Y-series up to a weight, from one sweep over the
-    Y-words (exponents -w) that builds the column of y_a u from u's."""
-    sweep = nested_sum_sweep(  # y_a u for every a the weight left allows
-        n, lambda e: range(-1, -max_weight - sum(e) - 1, -1))
-    return NCPoly(Y, {tuple(-k for k in e): col[n] for e, col in sweep},
+    """Truncated generating series H(N) = sum_w H_w(N) w over Y, exact,
+    each coefficient from the nested-sum engine (harmonic): its stuffle
+    grouplikeness is checked, not given by construction."""
+    return NCPoly(Y, {w: harmonic(w, N) for w in words_up_to(Y, max_weight)},
                   max_weight)
 
 

@@ -14,14 +14,11 @@ Contents:
     from one nested-sum sweep at z, the words ending in x0 by the shuffle
     with x0 (Li_{x0} = log z);
   * regularized zeta characters for the shuffle (X) and stuffle (Y)
-    sides (zero on the letters x0, x1 and y1): coefficients of Z_sh =
-    sigma(L(1/2))^{-1} L(1/2), each an antipode sum over the cuts of its
-    word, and of Z_st, each read at the depth of its word from a
-    functools.cache per depth (_z_sh, _z_st), Z_st(d) and the bridge from
-    the one Z_sh(d);
-  * one Lyndon-ordered product of exponentials, _lyndon_product, read
-    with a character once per word: pi_Y(Z_sh) gives Z_st, so the bridge
-    compares two independent constructions;
+    sides (zero on the letters x0, x1 and y1), each read at the depth of
+    its word from a functools.cache per depth (_z_sh, _z_st): Z_sh =
+    S(sigma(L(1/2))) L(1/2), S the shuffle antipode (_antipode), and Z_st
+    off the one Z_sh(d) where zeta converges, elsewhere by the stuffle
+    regularization zeta_st(y1) = 0, so the bridge compares two routes;
   * the two renormalized series Z and their comparison ("bridge"),
     which trades the letter y1 between the two sides;
   * L(z) past 1/2 by the reflection at 1, sigma(L(1-z)) Z_sh (Z_sh is
@@ -40,37 +37,16 @@ import math
 from fractions import Fraction
 
 from ncgen.asymptotics import harmonic_expansion
-from ncgen.hopf import basis_pair
-from ncgen.ncpoly import NCPoly, series_exp, words_up_to
+from ncgen.ncpoly import NCPoly, series_exp, stuffle_words, words_up_to
 from ncgen.polylog import (_li_powers, _li_sum, auto_terms, harmonic,
                            nested_sum_sweep, polylog_eval)
-from ncgen.words import X, Y, lyndon_words, pi_x_word
+from ncgen.words import X, Y, pi_x_word
 
 DEFAULT_N = 100000
 
 
 # the float series are NCPoly with a depth; the name stays for importers
 TruncatedNCSeries = NCPoly
-
-
-def _lyndon_product(alphabet, depth, value):
-    """prod_l exp(<value|S_l> P_l) up to a depth (Sigma_l and Pi_l over Y):
-    the ordered product over the Lyndon words l, largest leftmost, where
-    value(v) is the float that the character takes on the word v, read
-    once per word (a memo for this product only).  A factor with a zero
-    coefficient is 1 and skipped; the product starts from the first
-    factor, {(): 1.0} when there is none (at depth 0).
-    """
-    pbw, dual = basis_pair(alphabet)
-    value = functools.cache(value)
-    out = None
-    for l in reversed(lyndon_words(alphabet, max_length=depth,
-                                   max_weight=depth)):
-        coef = sum(float(c) * value(v) for v, c in dual(l).terms.items())
-        if coef:
-            factor = series_exp(pbw(l).truncate(depth).scale(coef))
-            out = factor if out is None else out * factor
-    return NCPoly(alphabet, {(): 1.0}, depth) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +64,23 @@ def _sigma(s):
                       for w, c in s.terms.items()}, s.depth)
 
 
+def _antipode(s):
+    """The shuffle antipode, <S(s)|w> = (-1)^|w| <s|rev w>: s^{-1} when s
+    is shuffle-grouplike, with no series product."""
+    return NCPoly(s.alphabet, {w[::-1]: -c if len(w) % 2 else c
+                               for w, c in s.terms.items()}, s.depth)
+
+
 @functools.cache
 def _z_sh(depth):
     """Z_sh = sigma(L(1/2))^{-1} L(1/2) up to a depth, the regularized
-    value of L at 1 (Drinfeld's KZ associator), coefficient by coefficient:
-    the inverse of the grouplike sigma(L) is its antipode, so
+    value of L at 1 (Drinfeld's KZ associator): the inverse of the
+    grouplike sigma(L(1/2)) is its antipode, so
     <Z_sh|w> = sum_{w = uv} <L(1/2)|swap(rev u)> <L(1/2)|v>, |w| + 1
-    products and no series product (the Hoelder convolution at p = 2).
+    products (the Hoelder convolution at p = 2), summed shortest u first.
     Shared by every caller: read it, never change it."""
-    words = words_up_to(X, depth)
-    half = l_series(0.5, depth).terms
-    anti = {u: half.get(tuple(1 - a for a in reversed(u)), 0.0) for u in words}
-    return NCPoly(X, {w: sum(anti[w[:j]] * half.get(w[j:], 0.0)
-                             for j in range(len(w) + 1)) for w in words},
-                  depth)
+    half = l_series(0.5, depth)
+    return _antipode(_sigma(half)) * half
 
 
 def zeta_numeric(w):
@@ -115,39 +94,58 @@ def zeta_numeric(w):
 
 def zeta_shuffle_reg(w):
     """Shuffle-regularized zeta of any X-word, <Z_sh | w>: the character
-    with zeta := 0 on the two letters."""
+    with zeta := 0 on the two letters.  ValueError for a letter other
+    than 0 or 1."""
     w = tuple(w)
-    return float(_z_sh(len(w)).coeff(w))
+    c = _z_sh(len(w)).terms.get(w)  # None: zero, or not an X-word
+    if c is None and not set(w) <= {0, 1}:
+        raise ValueError("not an X-word (letters 0, 1): %r" % (w,))
+    return c or 0.0
 
 
 def zeta_stuffle_reg(w):
     """Stuffle-regularized zeta of any Y-word, <Z_st | w>: the character
-    with zeta := 0 on y1."""
+    with zeta := 0 on y1.  ValueError for a letter below 1."""
     w = tuple(w)
-    return float(_z_st(sum(w)).coeff(w))
+    c = _z_st(sum(w)).terms.get(w)  # None: zero, or not a Y-word
+    if c is None and min(w, default=1) < 1:
+        raise ValueError("not a Y-word (letters y_k, k >= 1): %r" % (w,))
+    return c or 0.0
 
 
 # ---------------------------------------------------------------------------
 # renormalized series
 
 def z_shuffle_series(depth):
-    """Z for the shuffle side: Z_sh, equal to the ordered product over
-    Lyndon X-words of exp(zeta(S_l) P_l), letters excluded, largest
-    leftmost, with zetas exact up to float rounding; a copy, so the
-    caller may change it."""
+    """Z for the shuffle side: Z_sh, shuffle-grouplike with the zetas as
+    coefficients (exact up to float rounding), 0 on the letters; a copy,
+    so the caller may change it."""
     return NCPoly(X, _z_sh(depth).terms, depth)
 
 
 @functools.cache
 def _z_st(depth):
-    """z_stuffle_series, shared by every caller: read it, never change it."""
-    return _lyndon_product(Y, depth, _z_sh(depth).pi_y().coeff)
+    """Z_st up to a depth, coefficient by coefficient: pi_Y(Z_sh) on the
+    words u not starting with y1, where zeta converges, and y1^k u from
+    the stuffle regularization zeta_st(y1) = 0 (Hoffman 1997; Ihara,
+    Kaneko and Zagier 2006): y1 * y1^(k-1) u is k y1^k u plus words with a
+    shorter run of y1, so the runs are taken shortest first.  Shared by
+    every caller: read it, never change it."""
+    zeta = {w: c for w, c in _z_sh(depth).pi_y().terms.items()
+            if w[:1] != (1,)}
+    tails = list(zeta)  # (), and every word where zeta converges (> 0)
+    for k in range(1, depth + 1):
+        for w in [(1,) * k + u for u in tails if k + sum(u) <= depth]:
+            zeta[w] = -sum(c * zeta.get(v, 0.0) for v, c in
+                           stuffle_words((1,), w[1:]).items() if v != w) / k
+    return NCPoly(Y, zeta, depth)
 
 
 def z_stuffle_series(depth):
-    """Z for the stuffle side: product of exp(zeta(Sigma_l) Pi_l), l != y1,
-    zetas read off pi_Y(Z_sh) at the same depth, 0 on y1 as Z_sh is on x1
-    (exact up to float rounding); a copy, so the caller may change it."""
+    """Z for the stuffle side: Z_st, stuffle-grouplike with the zetas as
+    coefficients (read off pi_Y(Z_sh) at the same depth where they
+    converge), 0 on y1 as Z_sh is on x1, exact up to float rounding; a
+    copy, so the caller may change it."""
     return NCPoly(Y, _z_st(depth).terms, depth)
 
 
@@ -227,8 +225,9 @@ def l_series(z, depth):
 
 def chen_between(z0, z1, depth):
     """Chen series along z0 -> z1, L(z1) L(z0)^{-1}, up to words of length
-    depth; both ends in (0, 1) (ValueError otherwise)."""
-    return l_series(z1, depth) * l_series(z0, depth).inverse()
+    depth, the inverse of the grouplike L(z0) its antipode; both ends in
+    (0, 1) (ValueError otherwise)."""
+    return l_series(z1, depth) * _antipode(l_series(z0, depth))
 
 
 def chen_endpoint_sanity():

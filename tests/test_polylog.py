@@ -14,8 +14,8 @@ from ncgen.ncpoly import NCPoly, is_grouplike, stuffle_words, words_up_to
 from ncgen.negpolylog import h_neg, h_neg_value
 from ncgen.polylog import (
     FElem, QPoly, RatZ, StatePoly, auto_terms, harmonic, harmonic_array,
-    harmonic_float, harmonic_series, harmonic_truncated_series, nested_sum,
-    nested_sum_array, polylog_eval,
+    harmonic_float, harmonic_series, nested_sum, nested_sum_array,
+    nested_sum_sweep, polylog_eval,
 )
 from ncgen.words import X, Y, Y0
 
@@ -105,25 +105,20 @@ def test_nested_sum_array_is_the_letter_by_letter_loop(N):
         assert nested_sum_array(e, N).tolist() == want, e
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 1000, 100000])
-def test_harmonic_truncated_series_is_harmonic_float_per_word(n):
-    # one sweep over the suffix tree gives the floats of one sweep per word;
-    # n = 0 and n < |w| included, where H_w(n) = 0 is dropped
-    for d in range(6):
-        h = harmonic_truncated_series(n, d)
-        want = {w: harmonic_float(w, n) for w in words_up_to(Y, d)}
-        assert h.terms == {w: v for w, v in want.items() if v}, (n, d)
-        assert all(type(v) is float for v in h.terms.values())
-
-
-def test_harmonic_truncated_series_keeps_only_the_suffix_columns():
-    # the columns of the current word's suffixes, the index array and the
-    # column being built: d + 2 arrays of n + 1 floats at the most
+def test_nested_sum_sweep_keeps_only_the_suffix_columns():
+    # over the Y-codes (exponents -w) of weight <= d, the columns of the
+    # current word's suffixes, the index array and the column being built:
+    # d + 2 arrays of n + 1 floats at the most
     n, d = 100000, 4
-    harmonic_truncated_series(10, 1)  # numpy imported before the count
+
+    def letters(e):  # y_a e for every a the weight left allows
+        return range(-1, -d - sum(e) - 1, -1)
+
+    list(nested_sum_sweep(10, letters))  # numpy imported before the count
     tracemalloc.start()
     try:
-        harmonic_truncated_series(n, d)
+        for _ in nested_sum_sweep(n, letters):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -132,15 +127,18 @@ def test_harmonic_truncated_series_keeps_only_the_suffix_columns():
 
 # -- generating series -------------------------------------------------
 
+# N = 0 and N < |w| included, where H_w(N) = 0
 def test_harmonic_series_coefficients():
-    H = harmonic_series(10, 5)
-    for w in words_up_to(Y, 5):
-        assert H.coeff(w) == harmonic(w, 10), w
+    for N in (0, 1, 3, 10, 50):
+        H = harmonic_series(N, 5)
+        assert H.depth == 5
+        for w in words_up_to(Y, 5):
+            assert H.coeff(w) == harmonic(w, N), (N, w)
 
 
 def test_harmonic_series_grouplike():
-    H = harmonic_series(10, 5)
-    assert is_grouplike(H, "stuffle", 5)
+    for N in (0, 1, 3, 10, 50):
+        assert is_grouplike(harmonic_series(N, 5), "stuffle", 5), N
 
 
 # -- Li evaluation -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Renormalized series: zeta characters, bridge, Abel limits, constants."""
 
+import functools
 import math
 import os
 import pathlib
@@ -19,8 +20,8 @@ from test_acceptance import budget
 from ncgen import asymptotics, polylog, renorm
 from ncgen.asymptotics import expansion_value, harmonic_expansion
 from ncgen.hopf import basis_pair
-from ncgen.ncpoly import (is_grouplike, shuffle_words, stuffle_words,
-                          words_up_to)
+from ncgen.ncpoly import (NCPoly, is_grouplike, shuffle_words,
+                          stuffle_words, words_up_to)
 from ncgen.polylog import (_li_powers, harmonic, nested_sum_sweep,
                            polylog_eval)
 from ncgen.renorm import (
@@ -258,7 +259,7 @@ def test_series_at_every_depth_are_float(depth):
 
 
 def test_depth_zero_series_are_float_one():
-    # the Lyndon product is empty at depth 0: the float unit, nothing else
+    # at depth 0 only the empty word is left: the float unit, nothing else
     for series in (l_series(0.3, 0), z_stuffle_series(0)):
         assert series.terms == {(): 1.0}
         assert type(series.terms[()]) is float
@@ -266,10 +267,28 @@ def test_depth_zero_series_are_float_one():
 
 # --- near z = 1: the reflection L(z) = sigma(L(1 - z)) Z_sh -----------------
 
+def lyndon_product(alphabet, depth, value):
+    """prod_l exp(<value|S_l> P_l) up to a depth (Sigma_l and Pi_l over Y):
+    the ordered product over the Lyndon words l, largest leftmost, where
+    value(v) is the float that the character takes on the word v, read
+    once per word.  A factor with a zero coefficient is 1 and skipped.
+    The reference construction of a grouplike series from its character,
+    independent of the coefficient-by-coefficient routes in renorm."""
+    pbw, dual = basis_pair(alphabet)
+    value = functools.cache(value)
+    out = NCPoly(alphabet, {(): 1.0}, depth)
+    for l in reversed(lyndon_words(alphabet, max_length=depth,
+                                   max_weight=depth)):
+        coef = sum(float(c) * value(v) for v, c in dual(l).terms.items())
+        if coef:
+            out = out * series_exp(pbw(l).truncate(depth).scale(coef))
+    return out
+
+
 def direct_l(z, depth):
     """L(z) from polylogarithms summed at z itself, with no reflection."""
     letters = {(0,): math.log(z), (1,): -math.log(1.0 - z)}
-    return renorm._lyndon_product(
+    return lyndon_product(
         X, depth, lambda v: letters[v] if v in letters
         else polylog_eval(v, z, alphabet=X)[0])
 
@@ -357,13 +376,17 @@ def test_stuffle_duals_of_lyndon_words_start_past_y1():
 
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_z_st_character_is_pi_y_of_z_sh(depth):
+    z_st = renorm._z_st(depth)
     zeta = renorm._z_sh(depth).pi_y()
-    assert (1,) not in zeta.terms
-    # the per-word character the stuffle product used to read, zeta(v)
-    # off Z_sh(|pi_X v|), gives the same floats
-    per_word = renorm._lyndon_product(
-        Y, depth, lambda v: 0.0 if v == (1,) else zeta_numeric(v))
-    assert renorm._z_st(depth) == per_word
+    assert (1,) not in zeta.terms and (1,) not in z_st.terms
+    # off the run of y1, Z_st is read off Z_sh: zeta(v) for every v
+    for v in words_up_to(Y, depth):
+        if v and v[0] >= 2:
+            assert z_st.coeff(v) == zeta_numeric(v), v
+    # and it is the Lyndon product read with pi_Y(Z_sh) (0 on y1)
+    product = lyndon_product(Y, depth, zeta.coeff)
+    assert set(z_st.terms) == set(product.terms)
+    assert z_st.max_abs_diff(product) <= rounding_tol(z_st, product)
 
 
 def test_cold_bridge_builds_one_associator():
@@ -420,11 +443,100 @@ def test_l_series_meets_the_lyndon_product(depth):
         assert lhs.max_abs_diff(rhs) <= rounding_tol(lhs, rhs), (z, depth)
 
 
+# bridge_check(d)["max_abs_err"] when Z_st was the Lyndon product of
+# exponentials read with pi_Y(Z_sh) (and Z_sh read coefficient by
+# coefficient); before that, with L(1/2) a Lyndon product too, depth 8 gave
+# 2.84e-14 and depth 10 6.68e-13
+LYNDON_BRIDGE_ERR = {3: 4.440892098500626e-16, 4: 4.440892098500626e-16,
+                     5: 8.881784197001252e-16, 6: 1.7763568394002505e-15,
+                     7: 7.105427357601002e-15, 8: 1.4210854715202004e-14,
+                     9: 2.1316282072803006e-14, 10: 4.263256414560601e-14}
+
+
 def test_bridge_error_is_not_above_the_lyndon_route():
-    # bridge_check(8) and (10) when Z_sh was sigma(L(1/2))^-1 L(1/2) with
-    # L(1/2) a Lyndon product of exponentials
-    assert bridge_check(8)["max_abs_err"] <= 2.842170943040401e-14
-    assert bridge_check(10)["max_abs_err"] <= 6.679101716144942e-13
+    for depth, err in LYNDON_BRIDGE_ERR.items():
+        assert bridge_check(depth)["max_abs_err"] <= err, depth
+
+
+# --- every grouplike series from an identity on its coefficients ------------
+
+@pytest.mark.parametrize("read, w", [
+    (zeta_stuffle_reg, (-1, 3)), (zeta_stuffle_reg, (2, 0)),
+    (zeta_shuffle_reg, (2,)), (zeta_shuffle_reg, (0, -1))])
+def test_zeta_readers_refuse_a_letter_outside_their_alphabet(read, w):
+    with pytest.raises(ValueError, match="not an? [XY]-word"):
+        read(w)
+
+
+def test_zeta_stuffle_of_a_run_of_y1_meets_the_gamma_closed_form():
+    # sum_k zeta_st(y1^k) t^k = exp(sum_{n>=2} (-1)^(n-1) zeta(n) t^n / n)
+    # = 1 / (Gamma(1 + t) e^(gamma t)); y1^10, the longest run the
+    # recursion meets at depth 10, takes the most steps
+    with mpmath.workdps(30):
+        want = mpmath.taylor(lambda t: 1 / (mpmath.gamma(1 + t)
+                                            * mpmath.exp(mpmath.euler * t)),
+                             0, 10)
+    for k in range(2, 11):
+        assert abs(zeta_stuffle_reg((1,) * k) - want[k]) <= 1e-14, k
+
+
+def test_renorm_runs_without_hopf():
+    # no Lyndon basis on any float path: renorm, and the verify commands
+    # that read it, never import the module of the PBW bases
+    code = "\n".join([
+        "import sys",
+        "from ncgen import renorm",
+        "from ncgen.cli import main",
+        "renorm.bridge_check(8)",
+        "renorm.abel_limits_check(4)",
+        "renorm.chen_between(0.2, 0.7, 5)",
+        "renorm.euler_maclaurin_constants()",
+        "assert main(['verify', 'grouplike', '--depth', '4']) == 0",
+        "print('ncgen.hopf' in sys.modules)"])
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(renorm.__file__)
+                                          .resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_antipode_inverts_l(depth):
+    one = NCPoly(X, {(): 1.0}, depth)
+    for z in (0.1, 0.5, 0.9):
+        lz = l_series(z, depth)
+        product = renorm._antipode(lz) * lz
+        assert product.max_abs_diff(one) <= rounding_tol(lz), (z, depth)
+
+
+def test_chen_between_takes_no_series_inverse(monkeypatch):
+    inverse, calls = NCPoly.inverse, []
+
+    def recorder(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(NCPoly, "inverse", recorder)
+    for z0, z1 in ((0.2, 0.7), (0.9, 0.1), (0.5, 0.5)):
+        for depth in (1, 3, 5, 7):
+            got = chen_between(z0, z1, depth)
+            assert not calls
+            want = l_series(z1, depth) * inverse(l_series(z0, depth))
+            assert got.max_abs_diff(want) <= rounding_tol(got, want), (
+                z0, z1, depth)
+
+
+def test_cold_z_st_at_depth_10_is_fast():
+    # with Z_sh(10) built; the fastest of three keeps a busy host from
+    # failing the test
+    renorm._z_sh(10)
+    times = []
+    for _ in range(3):
+        renorm._z_st.cache_clear()
+        t = time.perf_counter()
+        renorm._z_st(10)
+        times.append(time.perf_counter() - t)
+    assert min(times) < 0.1, times
 
 
 def test_zetas_at_weight_12_meet_their_closed_forms():
@@ -531,8 +643,7 @@ def test_n_side_builds_no_harmonic_column_past_n0(monkeypatch):
     monkeypatch.setattr(asymptotics, "harmonic", exact_sum)
     monkeypatch.setattr(renorm, "_li_powers", powers)
     monkeypatch.setattr(renorm, "nested_sum_sweep", sweep)
-    for name in ("harmonic_array", "harmonic_float",
-                 "harmonic_truncated_series", "nested_sum_sweep"):
+    for name in ("harmonic_array", "harmonic_float", "nested_sum_sweep"):
         monkeypatch.setattr(polylog, name, forbidden)
     assert abel_limits_check(4)["pass"]
     euler_maclaurin_constants()
