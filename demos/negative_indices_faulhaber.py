@@ -16,9 +16,9 @@ from ncgen.negpolylog import (
     faulhaber_B_poly,
     h_neg,
     h_neg_from_faulhaber,
-    h_neg_value,
     li_neg,
 )
+from ncgen.polylog import nested_sum
 from ncgen.words import word_to_str
 
 
@@ -30,7 +30,7 @@ def main():
     print("\nH^-_w(N) closed forms:")
     for w in [(1,), (2,), (2, 1)]:
         print("  %-8s coefs %s" % (word_to_str(w, "Y"), h_neg(w).coefs))
-    print("  brute force H^-_{y2 y1}(10) =", h_neg_value((2, 1), 10),
+    print("  brute force H^-_{y2 y1}(10) =", nested_sum((2, 1), 10),
           "== polynomial:", h_neg((2, 1)).eval(Fraction(10)))
 
     print("\nFaulhaber route (Bernoulli polynomials):")

@@ -164,10 +164,7 @@ def _exp(w):
 
 @functools.cache
 def _dual_sigma(w):
-    # sorted in the word order, so float sums over Sigma_w keep one order
-    terms = _linear(_dual_s(w, Y).terms, _exp)
-    return NCPoly._new(Y, dict(sorted(
-        terms.items(), key=lambda t: word_key(t[0], Y))), None)
+    return NCPoly._new(Y, _linear(_dual_s(w, Y).terms, _exp), None)
 
 
 def dual_sigma(w):

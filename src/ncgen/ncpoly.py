@@ -574,11 +574,6 @@ def pi_x_poly(P):
     return P.map_words(pi_x_word, alphabet=X)
 
 
-def pi_y_poly(P):
-    """Q<X> -> Q<Y>: words ending in x0 are annihilated, others coded by runs."""
-    return P.pi_y()
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -81,11 +81,6 @@ def p_neg_z_coefficient(w, N):
 # ---------------------------------------------------------------------------
 # harmonic sums at negative indices
 
-def h_neg_value(w, N):
-    """Literal nested sum: sum over N >= n1 > ... > nr >= 1 of prod n_i^{s_i}."""
-    return nested_sum(w, N)
-
-
 @functools.cache
 def _h_neg(w):
     # Newton: H(N) = sum_k Delta^k H(0) C(N, k) over the integer values at
@@ -93,7 +88,7 @@ def _h_neg(w):
     # scaled by d!/k!, and d! is divided out last
     d = sum(w) + len(w)
     denom = factorial(d)
-    values = [int(h_neg_value(w, n)) for n in range(d + 1)]
+    values = [int(nested_sum(w, n)) for n in range(d + 1)]
     coefs = [0] * (d + 1)
     falling = [1]
     for k in range(d + 1):

@@ -3,13 +3,11 @@
 Everything here is numeric (float coefficients), read off identities at
 the three points 0, 1 and +infinity, so grouplikeness and character
 identities hold up to floating-point rounding.  So do the zeta values
-and the constants at +infinity: no partial sum at a large N enters them
-(DEFAULT_N is the n the N-side functions accept and no longer use).
+and the constants at +infinity: no partial sum at a large N enters them.
 
 Contents:
-  * the series are ncpoly.NCPoly with float coefficients and a depth
-    (TruncatedNCSeries is another name for it), and series_exp is
-    ncpoly.series_exp;
+  * the series are ncpoly.NCPoly with float coefficients and a depth,
+    and series_exp is ncpoly.series_exp;
   * L(z) for z <= 1/2 coefficient by coefficient: the words ending in x1
     from one nested-sum sweep at z, the words ending in x0 by the shuffle
     with x0 (Li_{x0} = log z);
@@ -39,23 +37,12 @@ from fractions import Fraction
 from ncgen.asymptotics import harmonic_expansion
 from ncgen.ncpoly import NCPoly, series_exp, stuffle_words, words_up_to
 from ncgen.polylog import (_li_powers, _li_sum, auto_terms, harmonic,
-                           nested_sum_sweep, polylog_eval)
+                           nested_sum_sweep)
 from ncgen.words import X, Y, pi_x_word
-
-DEFAULT_N = 100000
-
-
-# the float series are NCPoly with a depth; the name stays for importers
-TruncatedNCSeries = NCPoly
 
 
 # ---------------------------------------------------------------------------
 # numeric polylogarithms and zeta values
-
-def li_numeric(w, z):
-    """Li_w(z) for a convergent X-word (x0...x1) or Y-word, |z| < 1."""
-    return polylog_eval(w, z)[0]
-
 
 def _sigma(s):
     """sigma(S), the pullback under t -> 1 - t: x0 -> -x1, x1 -> -x0
@@ -107,7 +94,10 @@ def zeta_stuffle_reg(w):
     """Stuffle-regularized zeta of any Y-word, <Z_st | w>: the character
     with zeta := 0 on y1.  ValueError for a letter below 1."""
     w = tuple(w)
-    c = _z_st(sum(w)).terms.get(w)  # None: zero, or not a Y-word
+    try:
+        c = _z_st(sum(w)).terms.get(w)  # None: zero, or not a Y-word
+    except ValueError:  # a negative weight: l_series refuses the depth
+        c = None
     if c is None and min(w, default=1) < 1:
         raise ValueError("not a Y-word (letters y_k, k >= 1): %r" % (w,))
     return c or 0.0
@@ -164,11 +154,11 @@ def rounding_tol(*series):
                                 for c in s.terms.values()])
 
 
-def bridge_check(depth=4, n=None, tol=None):
+def bridge_check(depth=4, tol=None):
     """Compare Z_stuffle against the y1-corrected image of Z_shuffle.
 
-    tol=None: rounding_tol of the two sides.  n is accepted and unused;
-    no harmonic sum enters the bridge.
+    tol=None: rounding_tol of the two sides; no harmonic sum enters the
+    bridge.
     """
     lhs = _z_st(depth)
     rhs = bridge_series(depth)
@@ -190,8 +180,8 @@ def _check_segment(*zs):
 
 def l_series(z, depth):
     """L(z) = sum_w Li_w(z) w up to words of length depth, for 0 < z < 1
-    (ValueError otherwise); it equals e^{-log(1-z) x1} prod_l
-    exp(Li_{S_l}(z) P_l) e^{log(z) x0}.
+    and depth >= 0 (ValueError otherwise); it equals e^{-log(1-z) x1}
+    prod_l exp(Li_{S_l}(z) P_l) e^{log(z) x0}.
 
     For z <= 1/2 coefficient by coefficient.  Li_{x1} = -log(1-z), and
     every other word ending in x1 is summed as polylog_eval sums it (2000
@@ -205,6 +195,8 @@ def l_series(z, depth):
     (Sterbenz).
     """
     _check_segment(z)
+    if depth < 0:
+        raise ValueError("depth must be >= 0, got %r" % (depth,))
     if z > 0.5:
         return _sigma(l_series(1.0 - z, depth)) * _z_sh(depth)
     terms = auto_terms(z)
@@ -250,12 +242,12 @@ def chen_endpoint_sanity():
 # ---------------------------------------------------------------------------
 # Abel-type limits
 
-def n_side_limit_series(max_weight, n=DEFAULT_N):
+def n_side_limit_series(max_weight):
     """The limit N -> infinity of exp(sum_k H_{y_k}(N) (-y1)^k / k) H(N):
     its log-free constant term in the scale log^j N / N^k.  Setting
     log N = 1/N = 0 is a ring morphism, so it is the same product over
-    the constants C_w of harmonic_expansion (C_{y1} = gamma).  n is
-    accepted and unused; no partial sum enters."""
+    the constants C_w of harmonic_expansion (C_{y1} = gamma); no partial
+    sum enters."""
     h = NCPoly(Y, {w: harmonic_expansion(w)[0, 0]
                    for w in words_up_to(Y, max_weight)}, max_weight)
     coefs = {k: h.coeff((k,)) * (-1.0) ** k / k
@@ -270,7 +262,7 @@ def z_side_series(z, max_weight):
     return head * lz.pi_y()
 
 
-def abel_limits_check(max_weight=3, n=DEFAULT_N):
+def abel_limits_check(max_weight=3):
     """Compare the z -> 1 and N -> infinity regularized limits.
 
     At z = 1 - eps the z side is off its limit by about eps |log eps|^j
@@ -278,8 +270,8 @@ def abel_limits_check(max_weight=3, n=DEFAULT_N):
     eps = u = 2^-53.  So "fitted" is the z side at 1 - 2^-53, the float
     next below 1, and "raw_endpoint" the one at eps = 1e-3 (eps_list).
     The N side is the limit itself, n_side_limit_series, read off the
-    asymptotic expansions of the H_w(N); n is accepted, reported and
-    unused.  Pass iff every gap of "fitted" to the N-side value is <= tol.
+    asymptotic expansions of the H_w(N).  Pass iff every gap of "fitted"
+    to the N-side value is <= tol.
     """
     eps_list, tol = (1e-3, 2.0 ** -53), 1e-3
     n_side = n_side_limit_series(max_weight)
@@ -301,7 +293,7 @@ def abel_limits_check(max_weight=3, n=DEFAULT_N):
             "z_shuffle_side": z_target.coeff(w),
             "fitted_gap": fitted_gap,
         }
-    return {"max_weight": max_weight, "n": n, "eps_list": list(eps_list),
+    return {"max_weight": max_weight, "eps_list": list(eps_list),
             "tol": tol, "per_word": report, "max_fitted_gap": worst,
             "pass": worst <= tol}
 
@@ -309,20 +301,20 @@ def abel_limits_check(max_weight=3, n=DEFAULT_N):
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin constants and the y1-only series
 
-def euler_gamma_estimate(n=DEFAULT_N):
+def euler_gamma_estimate():
     """gamma, the constant of the asymptotic expansion of H_{y1}(N)
-    (log N + gamma + 1/(2N) - ...); n is accepted and unused."""
+    (log N + gamma + 1/(2N) - ...)."""
     return harmonic_expansion((1,))[0, 0]
 
 
-def euler_maclaurin_constants(n=DEFAULT_N, depth=4):
+def euler_maclaurin_constants(depth=4):
     """The y1-direction renormalization constants.
 
     Returns gamma, the y1^2 coefficient of exp(gamma y1 - sum_{k>=2}
     zeta(k)(-y1)^k/k) (which equals (gamma^2 - zeta(2))/2, zeta(k) read
     off Z_sh), the same constant read off H_{y1 y1}(N) directly, as the
-    constant of its asymptotic expansion, and the series itself.  n is
-    accepted and unused; no partial sum enters.
+    constant of its asymptotic expansion, and the series itself; no
+    partial sum enters.
     """
     gamma = euler_gamma_estimate()
     zeta = _z_sh(depth).pi_y()

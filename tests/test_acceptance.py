@@ -179,7 +179,8 @@ def test_gate_03_basis_duality():
 # --- gate 4: negative-index polylogarithms and harmonic sums ---------------
 
 def test_gate_04_negative_index_closed_forms():
-    from ncgen.negpolylog import QPoly, h_neg, h_neg_value, li_neg
+    from ncgen.negpolylog import QPoly, h_neg, li_neg
+    from ncgen.polylog import nested_sum
     with budget(10.0):
         t_lists = {
             (1,): [0, -1, 1],
@@ -214,7 +215,7 @@ def test_gate_04_negative_index_closed_forms():
         for w, poly in h_polys.items():
             assert h_neg(w) == poly, w
             for n in range(31):
-                assert poly.eval(F(n)) == h_neg_value(w, n), (w, n)
+                assert poly.eval(F(n)) == nested_sum(w, n), (w, n)
 
 
 # --- gate 5: leading asymptotic constants ----------------------------------
@@ -287,7 +288,7 @@ def test_gate_07_partial_sum_limits():
 def test_gate_08_bridge():
     from ncgen.renorm import bridge_check
     with budget(10.0):
-        report = bridge_check(depth=4, n=100000, tol=1e-2)
+        report = bridge_check(depth=4)
         assert report["pass"], report
 
 
@@ -296,8 +297,8 @@ def test_gate_08_bridge():
 def test_gate_09_abel_limits():
     from ncgen.renorm import abel_limits_check
     with budget(30.0):
-        report = abel_limits_check(max_weight=3, n=100000)
-        assert report["max_fitted_gap"] <= 1e-3, report
+        report = abel_limits_check(max_weight=3)
+        assert report["max_fitted_gap"] <= 1e-10, report
         assert report["pass"], report
 
 
@@ -306,10 +307,10 @@ def test_gate_09_abel_limits():
 def test_gate_10_euler_maclaurin_constants():
     from ncgen.renorm import euler_maclaurin_constants
     with budget(10.0):
-        r = euler_maclaurin_constants(n=100000, depth=4)
-        assert abs(r["gamma"] - GAMMA) <= 1e-4
-        assert abs(r["gamma_y1y1"] - (GAMMA ** 2 - PI2_6) / 2) <= 1e-2
-        assert abs(r["gamma_y1y1_numeric"] - r["gamma_y1y1"]) <= 1e-2
+        r = euler_maclaurin_constants(depth=4)
+        assert abs(r["gamma"] - GAMMA) <= 1e-14
+        assert abs(r["gamma_y1y1"] - (GAMMA ** 2 - PI2_6) / 2) <= 1e-14
+        assert abs(r["gamma_y1y1_numeric"] - r["gamma_y1y1"]) <= 1e-14
 
 
 # --- gate 11: truncated Chen series drive the ODE examples -------------------

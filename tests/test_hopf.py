@@ -13,7 +13,7 @@ from ncgen.hopf import (
     sigma_by_products,
 )
 from ncgen.ncpoly import (
-    NCPoly, _linear, conc, coproduct_stuffle, pi_y_poly, residual_left,
+    NCPoly, _linear, conc, coproduct_stuffle, residual_left,
     residual_right, shuffle_words, stuffle, words_up_to,
 )
 from ncgen.words import X, Y, lyndon_words, weight, word_key
@@ -244,7 +244,7 @@ def test_decompose_unit_coordinates():
 
 
 def test_decompose_pi_y_of_p():
-    got = decompose_in_basis(pi_y_poly(pbw_p((0, 1))), "Pi")
+    got = decompose_in_basis(pbw_p((0, 1)).pi_y(), "Pi")
     assert got == {(2,): Fraction(1), (1, 1): Fraction(1, 2)}
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ncgen.hopf import _bracket, _tensor_mul
 from ncgen.ncpoly import (
     NCPoly, conc, coproduct_shuffle, coproduct_stuffle, grouplike_err,
-    is_grouplike, peel, pi_x_poly, pi_y_poly, poly_to_str, residual_left,
+    is_grouplike, peel, pi_x_poly, poly_to_str, residual_left,
     residual_right, series_exp, shuffle, shuffle_power, shuffle_words,
     stuffle, stuffle_power, stuffle_words, words_up_to,
 )
@@ -221,7 +221,7 @@ def test_pi_poly():
     P = W((2, 1), Y) + W((1,), Y, c=2)
     assert pi_x_poly(P) == W((0, 1, 1)) + W((1,), c=2)
     Q = W((0, 1, 1)) + W((1, 0), c=5)
-    assert pi_y_poly(Q) == W((2, 1), Y)
+    assert Q.pi_y() == W((2, 1), Y)
 
 
 # -- serialization ----------------------------------------------------

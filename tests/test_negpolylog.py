@@ -23,7 +23,6 @@ from ncgen.negpolylog import (
     h_neg,
     h_neg_from_faulhaber,
     h_neg_single_closed_form,
-    h_neg_value,
     li_neg,
     li_neg_numerator_z,
     p_neg,
@@ -31,6 +30,7 @@ from ncgen.negpolylog import (
     stuffle_morphism_check_neg,
     theta0_t,
 )
+from ncgen.polylog import nested_sum
 
 F = Fraction
 
@@ -171,7 +171,7 @@ def test_h_neg_matches_brute_force():
     for w in words:
         p = h_neg(w)
         for n in range(0, 31):
-            assert p.eval(F(n)) == h_neg_value(w, n), (w, n)
+            assert p.eval(F(n)) == nested_sum(w, n), (w, n)
 
 
 def test_h_neg_degree():
@@ -197,7 +197,7 @@ def test_p_neg_generating_function():
     # coefficient of z^N in t * Li^-_w equals H^-_w(N)
     for w in [(1,), (2,), (1, 1), (2, 1), (0,), (1, 0)]:
         for n in range(0, 25):
-            assert p_neg_z_coefficient(w, n) == h_neg_value(w, n), (w, n)
+            assert p_neg_z_coefficient(w, n) == nested_sum(w, n), (w, n)
     assert p_neg((1,)) == QPoly([0, 0, -1, 1], "1/(1-z)")
 
 
@@ -307,4 +307,4 @@ def test_h_neg_is_the_nested_sum_beyond_its_nodes(w):
     p = h_neg(w)
     assert p.degree() == d
     for n in range(d + 4):
-        assert p.eval(n) == h_neg_value(w, n), (w, n)
+        assert p.eval(n) == nested_sum(w, n), (w, n)

@@ -25,7 +25,6 @@ from ncgen.ncpoly import (NCPoly, is_grouplike, shuffle_words,
 from ncgen.polylog import (_li_powers, harmonic, nested_sum_sweep,
                            polylog_eval)
 from ncgen.renorm import (
-    TruncatedNCSeries,
     abel_limits_check,
     bridge_check,
     bridge_series,
@@ -35,7 +34,6 @@ from ncgen.renorm import (
     const_series,
     euler_maclaurin_constants,
     l_series,
-    li_numeric,
     mono_series,
     n_side_limit_series,
     rounding_tol,
@@ -55,8 +53,7 @@ GAMMA = 0.5772156649015329
 
 
 def test_series_product_and_inverse():
-    s = TruncatedNCSeries(X, {(): 1.0, (0,): 0.5, (1,): -2.0, (0, 1): 3.0},
-                          depth=4)
+    s = NCPoly(X, {(): 1.0, (0,): 0.5, (1,): -2.0, (0, 1): 3.0}, depth=4)
     inv = s.inverse()
     prod = s * inv
     assert abs(prod.coeff(()) - 1.0) < 1e-14
@@ -65,18 +62,21 @@ def test_series_product_and_inverse():
 
 
 def test_series_exp_grouplike():
-    prim = TruncatedNCSeries(X, {(0,): 0.3, (1,): -0.7}, depth=4)
+    prim = NCPoly(X, {(0,): 0.3, (1,): -0.7}, depth=4)
     e = series_exp(prim)
     assert is_grouplike(e, "shuffle", 4, tol=1e-12)
 
 
-def test_li_numeric_values():
-    assert abs(li_numeric((0, 1), 0.5) - 0.5822405264650125) < 1e-12
-    assert abs(li_numeric((2,), 0.5) - 0.5822405264650125) < 1e-12
+def test_polylog_eval_values():
+    def li(w, z, alphabet):
+        return polylog_eval(w, z, alphabet=alphabet)[0]
+
+    assert abs(li((0, 1), 0.5, X) - 0.5822405264650125) < 1e-12
+    assert abs(li((2,), 0.5, Y) - 0.5822405264650125) < 1e-12
     # near the endpoint, against an independent dilog
     want = float(mpmath.polylog(2, 0.999))
-    assert abs(li_numeric((0, 1), 0.999) - want) < 1e-8
-    assert abs(li_numeric((1,), 0.9) + math.log(0.1)) < 1e-10
+    assert abs(li((0, 1), 0.999, X) - want) < 1e-8
+    assert abs(li((1,), 0.9, X) + math.log(0.1)) < 1e-10
 
 
 def test_zeta_numeric_partial_sums():
@@ -189,29 +189,31 @@ def test_abel_limits():
     assert per[(3,)]["fitted_gap"] < 1e-3
 
 
-# max_fitted_gap of the four-point fit in eps = 1 - z that the z side
-# used before it was read through the reflection
-FIT_GAP = {2: 2.6e-5, 3: 1.68e-4, 4: 7.92e-3, 5: 0.107}
+# bounds on max_fitted_gap, 25 to 55 times the gaps measured with the z side
+# read through the reflection at 1 - 2^-53 and the N side the constants
+# of the asymptotic expansions (4.0e-15, 1.8e-12, 2.9e-11, 5.8e-10)
+FIT_GAP = {2: 1e-13, 3: 1e-10, 4: 1e-9, 5: 2e-8}
 
 
 @pytest.mark.parametrize("depth", sorted(FIT_GAP))
 def test_abel_z_side_is_the_z_shuffle_image(depth):
     report = abel_limits_check(depth)
-    assert set(report) == {"max_weight", "n", "eps_list", "tol", "per_word",
+    assert set(report) == {"max_weight", "eps_list", "tol", "per_word",
                            "max_fitted_gap", "pass"}
     assert report["eps_list"] == [1e-3, 2.0 ** -53]
     for w, row in report["per_word"].items():
         assert set(row) == {"raw_endpoint", "raw_gap", "fitted", "n_side",
                             "z_shuffle_side", "fitted_gap"}
         assert abs(row["fitted"] - row["z_shuffle_side"]) < 1e-8, w
-    # what is left of the gap is the N side's truncation at n = 10^5
+    # what is left of the gap is the float rounding of both sides, which
+    # grows like |log eps|^depth at eps = 2^-53
     assert report["max_fitted_gap"] < FIT_GAP[depth]
 
 
 def test_n_side_matches_z_shuffle_image():
     n_side = n_side_limit_series(3)
     target = z_shuffle_series(3).pi_y()
-    assert n_side.max_abs_diff(target) < 1e-3
+    assert n_side.max_abs_diff(target) < 1e-13
 
 
 def test_chen_endpoint_sanity():
@@ -413,7 +415,7 @@ def test_l_series_sums_each_polylog_once(monkeypatch, depth, columns):
             yield e, col
 
     monkeypatch.setattr(renorm, "nested_sum_sweep", recorder)
-    monkeypatch.setattr(renorm, "polylog_eval",
+    monkeypatch.setattr(polylog, "polylog_eval",
                         lambda *args, **kwargs: alone.append(args))
     l_series(0.4, depth)
     assert len(sweeps) == 1 and not alone
@@ -466,6 +468,30 @@ def test_bridge_error_is_not_above_the_lyndon_route():
 def test_zeta_readers_refuse_a_letter_outside_their_alphabet(read, w):
     with pytest.raises(ValueError, match="not an? [XY]-word"):
         read(w)
+
+
+def test_a_negative_weight_builds_and_keeps_no_zeta_table():
+    sizes = (renorm._z_st.cache_info().currsize,
+             renorm._z_sh.cache_info().currsize)
+    with pytest.raises(ValueError,
+                       match=r"^not a Y-word \(letters y_k, k >= 1\): \(-3,\)$"):
+        zeta_stuffle_reg((-3,))
+    assert (renorm._z_st.cache_info().currsize,
+            renorm._z_sh.cache_info().currsize) == sizes
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        l_series(0.3, -1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        l_series(0.7, -1)
+
+
+def test_the_limits_at_infinity_take_no_n():
+    # no partial sum at any N enters them, so no N is accepted or reported
+    for fn, args in ((bridge_check, (4,)), (n_side_limit_series, (3,)),
+                     (abel_limits_check, (3,)), (euler_maclaurin_constants, ()),
+                     (renorm.euler_gamma_estimate, ())):
+        with pytest.raises(TypeError, match="'n'"):
+            fn(*args, n=10)
+    assert "n" not in abel_limits_check(3)
 
 
 def test_zeta_stuffle_of_a_run_of_y1_meets_the_gamma_closed_form():
