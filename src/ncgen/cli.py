@@ -56,20 +56,16 @@ def _round(x, digits):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _to_json(obj, digits, write=None):
-    """json.dumps(obj, indent=2) byte for byte, each float first rounded
-    by _round and each word series (an ncpoly.NCPoly, the one object that
-    is not a JSON value) written as its to_json_dict()["terms"].
+def _to_json(obj, digits, write):
+    """Write json.dumps(obj, indent=2) byte for byte, each float first
+    rounded by _round and each word series (an ncpoly.NCPoly, the one
+    object that is not a JSON value) written as its
+    to_json_dict()["terms"]; every chunk goes to write as it is made.
 
     Strings go through json's C escaper and other scalars through
     json.dumps, so json's pure-Python indent encoder never runs. A series
     is written one string per term, with no dict per term, and each word
-    is named once per call. With write, every chunk goes to write as it
-    is made and None is returned; without, the document is returned."""
-    chunks = None
-    if write is None:
-        chunks = []
-        write = chunks.append
+    is named once per call."""
     names = {}  # alphabet -> {word: its name as a JSON string}
 
     def series(P, indent):
@@ -117,7 +113,6 @@ def _to_json(obj, digits, write=None):
             series(obj, indent)
 
     walk(obj, "\n")
-    return None if chunks is None else "".join(chunks)
 
 
 def _emit(args, payload, text_lines=None):

@@ -18,7 +18,9 @@ Contents:
     off the one Z_sh(d) where zeta converges, elsewhere by the stuffle
     regularization zeta_st(y1) = 0, so the bridge compares two routes;
   * the two renormalized series Z and their comparison ("bridge"),
-    which trades the letter y1 between the two sides;
+    which trades the letter y1 between the two sides by a y1_factor
+    Lambda(c) = exp(-sum_k c_k (-y1)^k / k), as the Abel limits and the
+    constants below do;
   * L(z) past 1/2 by the reflection at 1, sigma(L(1-z)) Z_sh (Z_sh is
     Drinfeld's KZ associator), so no Li is summed at z > 1/2;
   * the z -> 1 / N -> infinity Abel-type comparison of the polylog and
@@ -32,7 +34,6 @@ Contents:
 
 import functools
 import math
-from fractions import Fraction
 
 from ncgen.asymptotics import harmonic_expansion
 from ncgen.ncpoly import NCPoly, series_exp, stuffle_words, words_up_to
@@ -139,13 +140,21 @@ def z_stuffle_series(depth):
     return NCPoly(Y, _z_st(depth).terms, depth)
 
 
+def y1_factor(c, max_weight):
+    """Lambda(c) = exp(-sum_k c[k] (-y1)^k / k), k >= 1, as a Y-series
+    truncated by weight; exact or float as the c[k] are: the one factor of
+    every renormalization at 1 and at +infinity (Costermans, Enjalbert,
+    Hoang Ngoc Minh and Petitot, ISSAC 2005)."""
+    return series_exp(NCPoly(Y, {(1,) * k: (-1) ** (k + 1) * ck / k
+                                 for k, ck in c.items()}, max_weight))
+
+
 def bridge_series(depth):
-    """exp(-sum_{k>=2} zeta(k)(-y1)^k/k) * pi_Y(Z_shuffle), zeta(k) read
-    off that pi_Y(Z_shuffle)."""
+    """Lambda(0, zeta(2), zeta(3), ...) * pi_Y(Z_shuffle), Lambda the
+    y1_factor, zeta(k) read off that pi_Y(Z_shuffle)."""
     zeta = _z_sh(depth).pi_y()
-    coefs = {k: -zeta.coeff((k,)) * (-1.0) ** k / k
-             for k in range(2, depth + 1)}
-    return ncpoly_exp_y1(coefs, depth) * zeta
+    return y1_factor({k: zeta.coeff((k,)) for k in range(2, depth + 1)},
+                     depth) * zeta
 
 
 def rounding_tol(*series):
@@ -243,23 +252,21 @@ def chen_endpoint_sanity():
 # Abel-type limits
 
 def n_side_limit_series(max_weight):
-    """The limit N -> infinity of exp(sum_k H_{y_k}(N) (-y1)^k / k) H(N):
-    its log-free constant term in the scale log^j N / N^k.  Setting
-    log N = 1/N = 0 is a ring morphism, so it is the same product over
-    the constants C_w of harmonic_expansion (C_{y1} = gamma); no partial
-    sum enters."""
+    """The limit N -> infinity of Lambda(-H_{y_k}(N)) H(N), Lambda the
+    y1_factor: its log-free constant term in the scale log^j N / N^k.
+    Setting log N = 1/N = 0 is a ring morphism, so it is the same product
+    over the constants C_w of harmonic_expansion (C_{y1} = gamma); no
+    partial sum enters."""
     h = NCPoly(Y, {w: harmonic_expansion(w)[0, 0]
                    for w in words_up_to(Y, max_weight)}, max_weight)
-    coefs = {k: h.coeff((k,)) * (-1.0) ** k / k
-             for k in range(1, max_weight + 1)}
-    return ncpoly_exp_y1(coefs, max_weight) * h
+    c = {k: -h.coeff((k,)) for k in range(1, max_weight + 1)}
+    return y1_factor(c, max_weight) * h
 
 
 def z_side_series(z, max_weight):
-    """exp(-y1 log(1/(1-z))) pi_Y(L(z))."""
+    """exp(-y1 log(1/(1-z))) pi_Y(L(z)), the factor Lambda(log(1-z))."""
     lz = l_series(z, max_weight)
-    head = ncpoly_exp_y1({1: math.log(1.0 - z)}, max_weight)
-    return head * lz.pi_y()
+    return y1_factor({1: math.log(1.0 - z)}, max_weight) * lz.pi_y()
 
 
 def abel_limits_check(max_weight=3):
@@ -310,16 +317,16 @@ def euler_gamma_estimate():
 def euler_maclaurin_constants(depth=4):
     """The y1-direction renormalization constants.
 
-    Returns gamma, the y1^2 coefficient of exp(gamma y1 - sum_{k>=2}
-    zeta(k)(-y1)^k/k) (which equals (gamma^2 - zeta(2))/2, zeta(k) read
-    off Z_sh), the same constant read off H_{y1 y1}(N) directly, as the
-    constant of its asymptotic expansion, and the series itself; no
-    partial sum enters.
+    Returns gamma, the y1^2 coefficient of B(y1) = Lambda(gamma, zeta(2),
+    zeta(3), ...) = exp(gamma y1 - sum_{k>=2} zeta(k)(-y1)^k/k) (which
+    equals (gamma^2 - zeta(2))/2, zeta(k) read off Z_sh), the same
+    constant read off H_{y1 y1}(N) directly, as the constant of its
+    asymptotic expansion, and the series itself; no partial sum enters.
     """
     gamma = euler_gamma_estimate()
     zeta = _z_sh(depth).pi_y()
-    coefs = {k: -zeta.coeff((k,)) * (-1.0) ** k / k for k in range(2, depth + 1)}
-    series = ncpoly_exp_y1({1: gamma, **coefs}, depth)
+    series = y1_factor({1: gamma, **{k: zeta.coeff((k,))
+                                     for k in range(2, depth + 1)}}, depth)
     return {
         "gamma": gamma,
         "gamma_y1y1": series.coeff((1, 1)),
@@ -334,18 +341,10 @@ def const_series(n, max_weight):
                       for k in range(max_weight + 1)})
 
 
-def ncpoly_exp_y1(coefs, max_weight):
-    """exp(sum_k coefs[k] y1^k), k >= 1, as a Y-series truncated by weight;
-    exact or float as the coefficients are."""
-    return series_exp(NCPoly(Y, {(1,) * k: c for k, c in coefs.items()},
-                             max_weight))
-
-
 def const_log_identity(n, max_weight):
-    """Exact: Const(n) = exp(-sum_k H_{y_k}(n) (-y1)^k / k)."""
-    coefs = {k: -harmonic((k,), n) * Fraction((-1) ** k, k)
-             for k in range(1, max_weight + 1)}
-    return ncpoly_exp_y1(coefs, max_weight) == const_series(n, max_weight)
+    """Exact: Const(n) = Lambda(H_{y_k}(n)), Lambda the y1_factor."""
+    c = {k: harmonic((k,), n) for k in range(1, max_weight + 1)}
+    return y1_factor(c, max_weight) == const_series(n, max_weight)
 
 
 def mono_series(z, max_weight):

@@ -100,6 +100,13 @@ def test_grouplike_character_up_to_weight_six():
     assert grouplike_c_check(6)
 
 
+def test_grouplike_c_check_catches_a_wrong_c_minus(monkeypatch):
+    from ncgen import asymptotics
+    monkeypatch.setattr(asymptotics, "c_minus",
+                        lambda w: c_minus(w) * (len(w) + 1))
+    assert grouplike_c_check(3) is False
+
+
 def test_limit_validation():
     for w in [(1,), (2,), (2, 1), (0, 1)]:
         report = limit_validation(w, 10 ** 4)

@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ncgen import asymptotics, negpolylog
 from ncgen.cli import _to_json, main
 from ncgen.ncpoly import NCPoly
+from ncgen.negpolylog import QPoly
 from ncgen.polylog import auto_terms
 from ncgen.words import X, Y, Y0
 
@@ -133,14 +135,14 @@ def test_verify_grouplike(capsys):
     code, out = run_json(capsys, "verify", "grouplike", "--depth", "4")
     assert code == 0
     assert out["harmonic_err"] == 0.0
-    assert out["max_abs_err"] < 1e-3
+    assert out["max_abs_err"] < 1e-13  # float rounding: 1.3e-15
 
 
 def test_verify_bridge(capsys):
     code, out = run_json(capsys, "verify", "bridge", "--depth", "3")
     assert code == 0
     assert out["identity"] == "bridge"
-    assert out["max_abs_err"] < 1e-2
+    assert out["max_abs_err"] < 1e-13  # float rounding: 4.4e-16
 
 
 def test_verify_cminus_seeded(capsys):
@@ -154,6 +156,27 @@ def test_verify_faulhaber(capsys):
     code, out = run_json(capsys, "verify", "faulhaber", "--depth", "5")
     assert code == 0
     assert out["words"] > 10
+
+
+# one wrong ingredient each: beta_w off by N or by 1, H^-_w off by 1, and
+# C^-_w scaled by |w| + 1, which is then no character
+_BROKEN = [
+    ("faulhaber", negpolylog, "beta_poly", lambda c, w: c + QPoly([0, 1])),
+    ("faulhaber", negpolylog, "beta_poly", lambda c, w: c + QPoly([1])),
+    ("faulhaber", negpolylog, "h_neg", lambda c, w: c + QPoly([1])),
+    ("cminus", asymptotics, "c_minus", lambda c, w: c * (len(w) + 1)),
+]
+
+
+@pytest.mark.parametrize("identity, module, name, wrong", _BROKEN,
+                         ids=["beta+N", "beta+1", "h_neg+1", "c_minus*(|w|+1)"])
+def test_verify_faulhaber_and_cminus_catch_a_broken_ingredient(
+        capsys, monkeypatch, identity, module, name, wrong):
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda w: wrong(f(w), w))
+    code, out = run_json(capsys, "verify", identity, "--depth", "4")
+    assert code == 1
+    assert out["pass"] is False and out["max_abs_err"] == 1.0
 
 
 def test_verify_dynsys(capsys):
@@ -768,6 +791,14 @@ FLOAT_OUTPUT = [
      "73acc4bbd352e1f9d6d36826e33f9eaacd45d572b1dcd802170e36c1dda60c49"),
     (None, ["--precision", "17", "verify", "bridge", "--depth", "8"],
      "a52ca235f1a6baff9a24014153e117023445c317fa2b7485dc4fed97a8c3888e"),
+    # the printed max_abs_err is the gap of the z side at 1 - 2^-53 to the
+    # N side, the constants at +infinity (1.82e-12, 2.91e-11, 5.82e-10)
+    (None, ["--precision", "17", "verify", "abel", "--depth", "3"],
+     "d339aded957698b7f4a57dc0ddf2b6fe04c1154ac6cc02ffae43a4be1daedb02"),
+    (None, ["--precision", "17", "verify", "abel", "--depth", "4"],
+     "8f0676bd079f5a6b0dd32818f175c54024e17a7f1a08282ec6615cc48d0a0eb1"),
+    (None, ["--precision", "17", "verify", "abel", "--depth", "5"],
+     "f9b8b8cbe2b7e4a778740761ce0391a869103b6fb2b085bcc529588bdb6b7dde"),
 ]
 
 
@@ -831,11 +862,17 @@ _JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
+def _to_json_text(obj, digits):
+    chunks = []
+    _to_json(obj, digits, chunks.append)
+    return "".join(chunks)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES, st.integers(1, 17))
 def test_to_json_is_rounded_json_dumps(obj, digits):
-    assert _to_json(obj, digits) == json.dumps(_round_ref(obj, digits),
-                                               indent=2)
+    assert _to_json_text(obj, digits) == json.dumps(_round_ref(obj, digits),
+                                                    indent=2)
 
 
 _LETTERS = {X: st.integers(0, 1), Y: st.integers(1, 4), Y0: st.integers(0, 4)}
@@ -865,7 +902,7 @@ def _series_as_terms(obj):
 def test_to_json_writes_a_series_as_its_term_list(obj):
     # X, Y and Y0 series with equal word tuples may share one document
     want = json.dumps(_round_ref(_series_as_terms(obj), 17), indent=2)
-    assert _to_json(obj, 17) == want
+    assert _to_json_text(obj, 17) == want
 
 
 @pytest.mark.parametrize("argv", [["--T", "0.1", "--controls", "1.0,0.5"],

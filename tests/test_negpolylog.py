@@ -288,6 +288,24 @@ def test_h_neg_from_faulhaber():
         assert h_neg_from_faulhaber(w) == h_neg(w), w
 
 
+# each case changes one ingredient at one word, so that the check after it
+# is the one that fails: beta_w against the closed form of B_w, the
+# difference equation, beta_w(0) = 0, and H^-_w from the up-shifted betas
+@pytest.mark.parametrize("name, extra, at, w", [
+    ("beta_poly", QPoly([0, 1]), (1, 2), (1, 2)),
+    ("beta_poly", QPoly([0, 1]), (1, 1, 2), (1, 1, 2)),
+    ("beta_poly", QPoly([1]), (1, 1, 2), (1, 1, 2)),
+    ("b_prime", 1, (2,), (2, 1)),
+])
+def test_faulhaber_roundtrip_catches_a_broken_ingredient(monkeypatch, name,
+                                                         extra, at, w):
+    from ncgen import negpolylog
+    f = getattr(negpolylog, name)
+    monkeypatch.setattr(negpolylog, name,
+                        lambda v: f(v) + extra if tuple(v) == at else f(v))
+    assert faulhaber_roundtrip(w) is False
+
+
 def test_faulhaber_roundtrip():
     for w in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
               (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1)]:
