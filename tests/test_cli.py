@@ -725,6 +725,10 @@ EXACT_OUTPUT = [
      "f656b983772325b8ef34ba76bb3bf56843576b896ffd1d319c1a8f6c5dcb8c18"),
     (["table", "dual-bases", "--alphabet", "Y", "--max-weight", "6"],
      "92700ae507e9236c7e8b4c3592f4913fcc7a3d743b777ad7f0c5cfec06e11d18"),
+    (["--seed", "7", "verify", "cminus", "--depth", "4"],
+     "1116f5c1b7a248917dc54ff69489e7a5b148fd7c6e409dca8a72fe7b7110178e"),
+    (["verify", "faulhaber", "--depth", "6"],
+     "c8b47cb00779d666d938c0ecf294760cbe2cc8b9536f8a234cedcac565e6c6cd"),
 ]
 
 
