@@ -35,7 +35,6 @@ from fractions import Fraction
 import numpy as np
 
 from ncgen.ncpoly import NCPoly, residual_right, shuffle, words_up_to
-from ncgen.hopf import dual_s, pbw_p
 from ncgen.polylog import StatePoly
 from ncgen.renorm import _check_segment
 from ncgen.words import X
@@ -325,21 +324,6 @@ def fliess_output(system, chen, depth):
 def fliess_output_rep(rep, chen, depth):
     """Same sum with coefficients from a linear representation."""
     return _pair(rep.truncated_series(depth), chen)
-
-
-def dyson_output(system, chen, depth):
-    """The Fliess sum resummed through the dual pair (S_w, P_w).
-
-    sum_w <sigma(f)|w> alpha_w = sum_w <sigma(f)|S_w> <C|P_w>, degree by
-    degree; a float-level identity test target.
-    """
-    sigma = system.generating_series(depth)
-    total = 0.0
-    for w in words_up_to(X, depth):
-        s_val = _pair(dual_s(w), sigma)
-        if s_val:
-            total += s_val * _pair(pbw_p(w), chen)
-    return total
 
 
 def _flow(system, weights, t0, t1):

@@ -3,11 +3,8 @@
 An NCPoly is a finite map word -> coefficient (zeros never stored),
 tagged with the alphabet of its words.  Coefficients are Fractions (ints
 are stored as Fractions) or floats, as constructed, and every operation
-keeps the kind.  Arithmetic also carries ring elements that support
-+ - * and bool, such as polylog.RatZ (polylog.FElem is an NCPoly over
-RatZ; +, -, scale, truncate and map_words keep its class).  An optional
-depth truncates: words of degree (length for X, weight for Y/Y0) above
-it are dropped, also in products.
+keeps the kind.  An optional depth truncates: words of degree (length
+for X, weight for Y/Y0) above it are dropped, also in products.
 Shuffle interleaves words; stuffle additionally contracts the two
 leading letters y_i, y_j into y_{i+j} (quasi-shuffle):
 
@@ -30,8 +27,8 @@ product in hopf, and the commutative product of polylog.StatePoly
 (exponent tuples added) each hand it their product of two keys.  It,
 peel and the linear combinations (_linear) run on integer numerators
 over one common denominator per operand (_numerators) and build one
-Fraction per output key (_values); float and ring coefficients (no
-denominator) take the values path through the same loops.  _linear also carries the
+Fraction per output key (_values); float coefficients (no denominator)
+take the values path through the same loops.  _linear also carries the
 duality pairing (cli), and _over_lcm the Taylor shift (polylog.QPoly) and
 the Hankel rows (rational).
 
@@ -98,8 +95,7 @@ def _min_depth(a, b):
 
 
 class NCPoly:
-    """Noncommutative series: finite map word tuple -> Fraction or float
-    (or, from arithmetic, a ring element such as RatZ).
+    """Noncommutative series: finite map word tuple -> Fraction or float.
 
     depth=None: a polynomial, untruncated.  depth=d: a series known up to
     degree d; words above d are dropped and products truncated there.
@@ -112,17 +108,12 @@ class NCPoly:
         self.depth = depth
         t = {}
         if terms:
-            deg, coef = _grading(alphabet), self._coef
+            deg = _grading(alphabet)
             for w, c in terms.items():
-                c = coef(c)
+                c = float(c) if isinstance(c, float) else Fraction(c)
                 if c and (depth is None or deg(w) <= depth):
                     t[w] = c
         self.terms = t
-
-    @staticmethod
-    def _coef(c):
-        """A constructor's coefficient in its stored kind."""
-        return float(c) if isinstance(c, float) else Fraction(c)
 
     @classmethod
     def _new(cls, alphabet, terms, depth):

@@ -261,7 +261,7 @@ def faulhaber_roundtrip(w):
       - for |w| <= 2: beta from the closed-form B_w matches the
         F1-constructed beta;
       - the difference equation beta_w(z+1) - beta_w(z) = n1 z^(n1-1) B_tail(z);
-      - B_w(1) = B_w(0) when n1 > 1 (i.e. beta_w(1) = 0), and beta_w(0) = 0;
+      - beta_w(0) = 0;
       - the second identity recovers h_neg(w) exactly.
     """
     w = tuple(w)
@@ -278,8 +278,6 @@ def faulhaber_roundtrip(w):
     if beta.shift(1) - beta != monomial * tail:
         return False
     if beta.coefs[0] != 0:  # beta is not constant: its difference is not 0
-        return False
-    if n1 > 1 and beta.eval(Fraction(1)) != 0:
         return False
     return h_neg_from_faulhaber(w) == h_neg(w)
 

@@ -14,28 +14,14 @@ bound, its terms computed up to where |z|^N underflows to 0.0.
 
 StatePoly is the one commutative polynomial type over Q (sparse in m
 variables, products by ncpoly._bilinear): dynsys's state polynomials,
-and as its subclass QPoly (m = 1, read densely) H^-_w in N, Li^-_w in
-t = 1/(1-z) (negpolylog) and the numerators below.
-
-The second half is the symbolic operator algebra on finite combinations
-sum c_w(z) Li_w(z): FElem, an NCPoly over X whose coefficients c_w lie in
-Q[z, 1/z, 1/(1-z)] (RatZ below, kept canonical as N(z) / (z^a (1-z)^b),
-N a QPoly in z with the factors of z and 1-z cancelled out of it).  Actions:
-
-    dz Li_{x0 w} = Li_w / z          dz Li_{x1 w} = Li_w / (1-z)
-    theta0 = z dz,   theta1 = (1-z) dz   (derivations: product rule
-    against the coefficients), iota_i prepends the letter x_i.
-
-theta_k iota_k = Id and (theta0 iota1)(theta1 iota0) = Id hold on
-combinations with *constant* coefficients (the operators are only
-linear over constants).
+and as its subclass QPoly (m = 1, read densely) H^-_w in N and Li^-_w in
+t = 1/(1-z) (negpolylog).
 """
 
 import functools
 import math
 from bisect import bisect
 from fractions import Fraction
-from itertools import accumulate
 from operator import add
 
 from ncgen.ncpoly import NCPoly, _bilinear, _over_lcm, words_up_to
@@ -215,7 +201,7 @@ def _tail_bound(w, x, terms):
 
 
 # ---------------------------------------------------------------------------
-# exact polynomials and coefficients in Q[z, 1/z, 1/(1-z)]
+# exact polynomials over Q
 
 _ZERO = Fraction(0)
 
@@ -373,147 +359,3 @@ class QPoly(StatePoly):
 
     def __repr__(self):
         return "QPoly(%s; %s)" % (list(self.coefs), self.var)
-
-
-_Z = QPoly([0, 1], "z")
-_U = QPoly([1, -1], "z")  # 1 - z
-
-
-class RatZ:
-    """Element of Q[z, 1/z, 1/(1-z)]: num(z) / (z^a (1-z)^b), canonical.
-
-    num is a QPoly in z (a coefficient list is converted); z does not
-    divide it when a > 0, nor 1 - z when b > 0, and zero has a = b = 0.
-    """
-
-    __slots__ = ("num", "a", "b")
-
-    def __init__(self, num, a=0, b=0):
-        num = num if isinstance(num, QPoly) else QPoly(num, "z")
-        if num.is_zero():
-            a = b = 0
-        while a > 0 and not num.coefs[0]:
-            num, a = QPoly(num.coefs[1:], "z"), a - 1
-        while b > 0 and not num.eval(1):  # (1-z) | num: quotient by prefix sums
-            num, b = QPoly(accumulate(num.coefs[:-1]), "z"), b - 1
-        self.num, self.a, self.b = num, a, b
-
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
-    @classmethod
-    def z_pow(cls, k):
-        return cls(_Z ** k) if k >= 0 else cls([1], a=-k)
-
-    @classmethod
-    def uinv_pow(cls, k):
-        """(1-z)^(-k), k >= 0."""
-        return cls([1], b=k)
-
-    @classmethod
-    def lam(cls):
-        """z/(1-z)."""
-        return cls(_Z, b=1)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, RatZ) and self.num == other.num
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.num, self.a, self.b))
-
-    def __add__(self, other):
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        return RatZ(self.num * _Z ** (a - self.a) * _U ** (b - self.b)
-                    + other.num * _Z ** (a - other.a) * _U ** (b - other.b),
-                    a, b)
-
-    def __neg__(self):
-        return RatZ(-self.num, self.a, self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatZ):
-            other = RatZ.const(other)
-        return RatZ(self.num * other.num, self.a + other.a, self.b + other.b)
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        """d/dz = [N' z(1-z) - a N (1-z) + b N z] / (z^(a+1) (1-z)^(b+1))."""
-        n = self.num
-        return RatZ(n.derivative() * _Z * _U - self.a * n * _U
-                    + self.b * n * _Z, self.a + 1, self.b + 1)
-
-    def eval(self, z):
-        return self.num.eval(z) / (z ** self.a * (1 - z) ** self.b)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "RatZ(0)"
-        return "RatZ(%s / z^%d (1-z)^%d)" % (list(self.num.coefs), self.a, self.b)
-
-
-_ONE = RatZ.const(1)
-
-
-class FElem(NCPoly):
-    """sum_w c_w(z) Li_w(z): an NCPoly over X with RatZ coefficients.
-
-    The container (sums, negation, scaling, equality, zero-dropping) is
-    NCPoly's; FElem adds the operators.  Build one with li and sums of li;
-    the NCPoly constructors store numbers as constant RatZ.
-    """
-
-    __slots__ = ()
-
-    _coef = staticmethod(_ONE.__mul__)  # numbers become constant RatZ
-
-    @classmethod
-    def li(cls, w, coef=1):
-        return cls._new(X, {tuple(w): _ONE * coef}, None)
-
-    def dz(self):
-        """The product rule against each coefficient, plus
-        dz Li_{x0 w} = Li_w / z and dz Li_{x1 w} = Li_w / (1-z)."""
-        out = self._new(X, {w: c.derivative() for w, c in self.terms.items()},
-                        None)
-        for a, factor in ((0, RatZ.z_pow(-1)), (1, RatZ.uinv_pow(1))):
-            tails = self.map_words(lambda w: w[1:] if w[:1] == (a,) else None)
-            out = out + tails.scale(factor)
-        return out
-
-    def theta0(self):
-        return self.dz().scale(RatZ.z_pow(1))
-
-    def theta1(self):
-        return self.dz().scale(RatZ(_U))
-
-    def iota(self, letter):
-        return self.map_words(lambda w: (letter,) + w)
-
-    def eval(self, z):
-        """Numeric value, each Li summed to auto_terms(z) terms; words must
-        be empty, x0-powers, or end in x1."""
-        from math import log, factorial
-        total = 0.0
-        for w, c in self.terms.items():
-            if not w:
-                li = 1.0
-            elif set(w) == {0}:
-                li = log(z) ** len(w) / factorial(len(w))
-            elif w[-1] == 1:
-                li = polylog_eval(w, z, alphabet=X)[0]
-            else:
-                raise ValueError("cannot evaluate Li for word %r" % (w,))
-            total += float(c.eval(z)) * li
-        return total

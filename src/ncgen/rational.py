@@ -11,7 +11,6 @@ rows found so far; the rank is the number of pivots.
 """
 
 from fractions import Fraction
-from math import factorial
 from operator import mul
 
 from ncgen.ncpoly import (
@@ -194,45 +193,6 @@ def hankel_rank(coefficient, alphabet=X, depth=3):
             inv = 1 / rest[lead]
             pivots[lead] = {j: c * inv for j, c in rest.items()}
     return len(pivots)
-
-
-# ---------------------------------------------------------------------------
-# growth of coefficients
-
-def growth_condition_check(coefficient, depth=6, K=None, C=None):
-    """Check or estimate |<S|w>| <= C K^|w| |w|! up to a length.
-
-    coefficient: a LinearRepresentation, or word -> number over X.  With
-    K and C given, verifies the bound and reports the first violation;
-    otherwise returns heuristic minimal constants from the sampled
-    lengths (an estimate, not a certificate).
-    """
-    alphabet = X
-    if isinstance(coefficient, LinearRepresentation):
-        alphabet = coefficient.alphabet
-        coefficient = coefficient.truncated_series(depth).coeff
-    by_length = {}
-    for w in words_up_to(alphabet, depth):
-        L = len(w)
-        val = abs(Fraction(coefficient(w)))
-        by_length[L] = max(by_length.get(L, _ZERO), val)
-    if K is not None and C is not None:
-        K, C = Fraction(K), Fraction(C)
-        for L, val in sorted(by_length.items()):
-            if val > C * K ** L * factorial(L):
-                return {"pass": False, "first_violation_length": L,
-                        "max_at_length": val}
-        return {"pass": True}
-    k_seq = {}
-    for L, val in sorted(by_length.items()):
-        if L == 0 or val == 0:
-            continue
-        k_seq[L] = float(val / factorial(L)) ** (1.0 / L)
-    k_est = max(k_seq.values(), default=0.0)
-    c_est = max((float(val) / (max(k_est, 1e-30) ** L * factorial(L))
-                 for L, val in by_length.items()), default=0.0)
-    return {"K": k_est, "C": c_est, "k_by_length": k_seq,
-            "heuristic": True}
 
 
 # ---------------------------------------------------------------------------

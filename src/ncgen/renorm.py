@@ -29,7 +29,7 @@ Contents:
     (asymptotics.harmonic_expansion);
   * Euler-Maclaurin constants (gamma and the y1^2 coefficient), read off
     the same constants;
-  * the single-variable monomial/constant-part series in y1.
+  * the single-variable constant-part series in y1.
 """
 
 import functools
@@ -231,23 +231,6 @@ def chen_between(z0, z1, depth):
     return l_series(z1, depth) * _antipode(l_series(z0, depth))
 
 
-def chen_endpoint_sanity():
-    """Regularized endpoint extraction of zeta(2) from a Chen series.
-
-    e^{x1 log eps} S_{eps -> 1-eps} e^{x0 log eps} has x0x1-coefficient
-    tending to zeta(2): [(eps, error)] for eps = 0.1, 0.03, 0.01.
-    """
-    out = []
-    target = math.pi ** 2 / 6.0
-    for eps in (0.1, 0.03, 0.01):
-        s = chen_between(eps, 1.0 - eps, 2)
-        left = series_exp(NCPoly(X, {(1,): math.log(eps)}, 2))
-        right = series_exp(NCPoly(X, {(0,): math.log(eps)}, 2))
-        reg = left * s * right
-        out.append((eps, reg.coeff((0, 1)) - target))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Abel-type limits
 
@@ -346,9 +329,3 @@ def const_log_identity(n, max_weight):
     c = {k: harmonic((k,), n) for k in range(1, max_weight + 1)}
     return y1_factor(c, max_weight) == const_series(n, max_weight)
 
-
-def mono_series(z, max_weight):
-    """Float y1-only series with coefficients (-log(1-z))^k / (k! (1-z))."""
-    lg = -math.log(1.0 - z)
-    return NCPoly(Y, {(1,) * k: lg ** k / (math.factorial(k) * (1.0 - z))
-                      for k in range(max_weight + 1)}, max_weight)

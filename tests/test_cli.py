@@ -335,6 +335,8 @@ def test_bad_controls(tmp_path, capsys):
 
 
 _NUMBERS = ["-3", "0", "1", "3", "2.5", "abc"]
+# at and past the 17 digits a float holds, past a C int, and far past
+_PRECISIONS = _NUMBERS + ["17", "18", "2147483648", str(10 ** 30)]
 # system files with a 1/0, a number beyond the float range, or neither
 _SYSTEMS = sorted(str(p) for p in
                   (pathlib.Path(__file__).parent / "systems").glob("*.json"))
@@ -351,6 +353,10 @@ _FUZZ_COMMANDS = {
     "table": (["dual-bases", "pi-sigma", "cminus", "eulerian"],
               {"--alphabet": ["X", "Y"], "--max-len": _NUMBERS,
                "--max-weight": _NUMBERS, "--max-n": _NUMBERS}),
+    "verify": (["duality", "grouplike", "bridge", "abel", "cminus",
+                "faulhaber", "dynsys"],
+               {"--alphabet": ["X", "Y"],
+                "--depth": ["-1", "0", "1", "3", "abc"]}),
     "simulate": ([], {"--system": _SYSTEMS, "--z": ["0.3", "1.5"],
                       "--T": ["0.1", "1e200"],
                       "--controls": ["1,0.5", "1e200,1e200", "1"],
@@ -364,7 +370,7 @@ def _argvs(draw):
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     if draw(st.booleans()):
-        argv += ["--precision", draw(st.sampled_from(_NUMBERS))]
+        argv += ["--precision", draw(st.sampled_from(_PRECISIONS))]
     command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
     which, options = _FUZZ_COMMANDS[command]
     argv.append(command)
@@ -509,6 +515,20 @@ def test_precision_flag(capsys):
     assert code == 0
     # -log(1-z) at z=0.5, rounded to 3 significant digits
     assert out["value"] == 0.693
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--depth", "2"],
+    ["--format", "json", "eval", "li", "--word", "y2 y1", "--z", "0.9"],
+])
+def test_precision_past_17_prints_as_17(capsys, argv):
+    # 17 significant digits round-trip a float; 10^30 is past a C int
+    outs = []
+    for digits in ["17", str(10 ** 30)]:
+        code, out, err = run(capsys, "--precision", digits, *argv)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("system, argv", [

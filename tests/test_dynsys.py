@@ -20,7 +20,6 @@ from ncgen.dynsys import (
     _solve,
     chen_drift,
     chen_ode,
-    dyson_output,
     fliess_output,
     fliess_output_rep,
     iterated_integral,
@@ -224,13 +223,6 @@ def test_fliess_identity_checks_can_fail(monkeypatch):
     for u in [(0,), (1,), (0, 1)]:
         assert not residual_identity_check(system, u, 4), u
 
-
-def test_dyson_resummation_equals_fliess():
-    system = hyp_system(0.2)
-    chen = chen_ode(0.2, 0.4, 6)
-    direct = fliess_output(system, chen, 6)
-    resummed = dyson_output(system, chen, 6)
-    assert abs(direct - resummed) < 1e-10
 
 
 def test_system_json_roundtrip(tmp_path):

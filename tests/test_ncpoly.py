@@ -278,12 +278,6 @@ def test_poly_to_str_with_shared_names(series):
         assert poly_to_str(P, names) == _poly_to_str_ref(P)
 
 
-def test_poly_to_str_of_ring_coefficients():
-    from ncgen.polylog import RatZ
-    P = NCPoly._new(X, {(): RatZ.const(1), (0, 1): RatZ.const(-1),
-                        (1,): RatZ.lam()}, None)
-    assert poly_to_str(P) == _poly_to_str_ref(P)
-
 
 # -- exact and float series, truncated -------------------------------
 

@@ -7,17 +7,16 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from ncgen.ncpoly import NCPoly, is_grouplike, stuffle_words, words_up_to
+from ncgen.ncpoly import is_grouplike, stuffle_words, words_up_to
 from ncgen.negpolylog import h_neg
 from ncgen.polylog import (
-    FElem, QPoly, RatZ, StatePoly, auto_terms, harmonic, harmonic_array,
+    QPoly, StatePoly, auto_terms, harmonic, harmonic_array,
     harmonic_float, harmonic_series, nested_sum, nested_sum_array,
     nested_sum_sweep, polylog_eval,
 )
-from ncgen.words import X, Y, Y0
+from ncgen.words import Y, Y0
 
 
 # -- harmonic sums -----------------------------------------------------
@@ -278,62 +277,11 @@ def test_li_past_the_underflow_keeps_the_pairwise_order_of_all_terms(z):
         assert polylog_eval(w, z, 20000, Y0)[0] == _li_full(w, z, 20000), w
 
 
-# -- RatZ coefficient ring ---------------------------------------------
-
-def test_ratz_canonical():
-    # z/(1-z) + 1 = 1/(1-z)
-    lam = RatZ.lam()
-    assert lam + RatZ.const(1) == RatZ.uinv_pow(1)
-    # (1-z) * 1/(1-z) = 1
-    u = RatZ([Fraction(1), Fraction(-1)])
-    assert u * RatZ.uinv_pow(1) == RatZ.const(1)
-    # z * 1/z = 1
-    assert RatZ.z_pow(1) * RatZ.z_pow(-1) == RatZ.const(1)
-    assert (lam - lam).is_zero()
-
-
-def test_ratz_derivative():
-    # d/dz 1/(1-z) = 1/(1-z)^2
-    assert RatZ.uinv_pow(1).derivative() == RatZ.uinv_pow(2)
-    # d/dz 1/z = -1/z^2
-    assert RatZ.z_pow(-1).derivative() == RatZ([Fraction(-1)], a=2)
-    # d/dz z^3 = 3z^2
-    assert RatZ.z_pow(3).derivative() == RatZ([0, 0, Fraction(3)])
-
-
-def test_ratz_eval():
-    assert RatZ.lam().eval(Fraction(1, 3)) == Fraction(1, 2)
-    assert RatZ.uinv_pow(2).eval(0.5) == 4.0
-
+# -- commutative polynomials: StatePoly and its univariate QPoly --------
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-_ratz_parts = st.tuples(st.lists(_fractions, max_size=5), st.integers(0, 3),
-                        st.integers(0, 3))
 _z_inside = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
                          max_denominator=100)
-
-
-def _sympy_ratz(num, a, b):
-    z = sympy.Symbol("z")
-    return z, sum(sympy.Rational(c.numerator, c.denominator) * z ** i
-                  for i, c in enumerate(num)) / (z ** a * (1 - z) ** b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_ratz_parts, _ratz_parts, _z_inside)
-def test_ratz_ring_agrees_with_values(r_parts, s_parts, z):
-    r, s = RatZ(*r_parts), RatZ(*s_parts)
-    rz, sz = r.eval(z), s.eval(z)
-    assert (r + s).eval(z) == rz + sz
-    assert (r - s).eval(z) == rz - sz
-    assert (r * s).eval(z) == rz * sz
-    # the canonical form is unique: the round trip lands on r itself
-    back = (r + s) - s
-    assert back == r and hash(back) == hash(r)
-    sym, expr = _sympy_ratz(*r_parts)
-    d = sympy.diff(expr, sym).subs(sym, sympy.Rational(z.numerator,
-                                                       z.denominator))
-    assert r.derivative().eval(z) == Fraction(int(d.p), int(d.q))
 
 
 @settings(max_examples=40, deadline=None)
@@ -360,8 +308,6 @@ def test_qpoly_shift_is_the_composition(coefs, c):
         want = want + a * QPoly([c, 1], "N") ** i
     assert p.shift(c) == want
 
-
-# -- commutative polynomials: StatePoly and its univariate QPoly --------
 
 def _naive_add(a, b):
     t = dict(a)
@@ -472,109 +418,6 @@ def test_qpoly_dense_view_json_and_horner(coefs, pad, var, x):
     # Horner's order: exact at int and Fraction, bit for bit at float
     got, want = p.eval(x), _naive_horner(trimmed, x)
     assert type(got) is type(want) and repr(got) == repr(want)
-
-
-# -- operator algebra --------------------------------------------------
-
-def test_theta_basic_rules():
-    f = FElem.li((0, 1))
-    assert f.theta0() == FElem.li((1,))
-    assert f.theta1() == FElem.li((1,), RatZ([Fraction(1), Fraction(-1)], a=1))
-    g = FElem.li((1, 1))
-    # theta0 Li_{x1^2} = lambda Li_{x1}
-    assert g.theta0() == FElem.li((1,), RatZ.lam())
-    assert g.theta1() == FElem.li((1,))
-
-
-def test_theta_iota_identities():
-    # theta_k iota_k = Id on constant-coefficient combinations
-    f = FElem.li((0, 1), Fraction(3, 2)) + FElem.li((1, 1), Fraction(-1, 3)) \
-        + FElem.li((), Fraction(2))
-    assert f.iota(0).theta0() == f
-    assert f.iota(1).theta1() == f
-
-
-def test_theta_iota_eigenvalues():
-    # theta0 iota1 and theta1 iota0 act on basis elements with reciprocal
-    # eigenvalues lambda = z/(1-z) and 1/lambda = (1-z)/z.
-    lam = RatZ.lam()
-    lam_inv = RatZ([Fraction(1), Fraction(-1)], a=1)
-    assert lam * lam_inv == RatZ.const(1)
-    for w in [(), (1,), (0, 1), (1, 0, 1)]:
-        f = FElem.li(w)
-        assert f.iota(1).theta0() == FElem.li(w, lam)
-        assert f.iota(0).theta1() == FElem.li(w, lam_inv)
-
-
-def test_theta_commutator_is_dz():
-    # [theta1, theta0] = theta1 theta0 - theta0 theta1 = dz; chained method
-    # calls apply left-to-right, so theta1 theta0 f = f.theta0().theta1()
-    f = FElem.li((0, 1))
-    commutator = f.theta0().theta1() - f.theta1().theta0()
-    assert commutator == f.dz()
-
-
-def test_theta_sum_is_dz():
-    # theta0 + theta1 = (z + 1 - z) dz = dz on any element
-    f = FElem.li((0, 1), RatZ.lam()) + FElem.li((1,), RatZ.z_pow(2))
-    assert f.theta0() + f.theta1() == f.dz()
-
-
-def test_felem_constructors_store_ratz():
-    # word, one and the plain constructor turn numbers into constant RatZ
-    assert FElem.word((0, 1)).dz() == FElem.li((0, 1)).dz()
-    assert FElem.word((1,), coef=Fraction(2, 3)) == FElem.li((1,), Fraction(2, 3))
-    assert FElem.one().theta0() == FElem.zero()
-    f = FElem(terms={(0, 1): 3, (1,): RatZ.lam()})
-    assert f == FElem.li((0, 1), 3) + FElem.li((1,), RatZ.lam())
-    assert f.dz() == f.theta0() + f.theta1()
-
-def test_felem_is_an_ncpoly_over_ratz():
-    assert isinstance(FElem.li((0, 1)), NCPoly)
-    f = FElem.li((0, 1), RatZ.lam()) + FElem.li((1,), Fraction(2))
-    g = FElem.li((1, 1))
-    assert not (f - f)
-    for h in (f + g, f - g, f.scale(RatZ.lam()), f.iota(1)):
-        assert type(h) is FElem
-
-
-_felems = st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=3),
-                             _ratz_parts), max_size=3).map(
-    lambda ts: sum((FElem.li(w, RatZ(*p)) for w, p in ts), FElem.zero()))
-
-
-@settings(max_examples=40, deadline=None)
-@given(_felems, _felems, _ratz_parts, _fractions)
-def test_felem_operators_are_linear_and_dz_a_derivation(f, g, r_parts, c):
-    for op in (FElem.dz, FElem.theta0, FElem.theta1):
-        assert op(f + g) == op(f) + op(g)
-        assert op(f.scale(c)) == op(f).scale(c)
-    # Leibniz against a coefficient: dz(r f) = r dz(f) + r' f
-    r = RatZ(*r_parts)
-    assert f.scale(r).dz() == f.dz().scale(r) + f.scale(r.derivative())
-
-
-def test_eval_consistency():
-    # dz Li_{x0x1} = Li_{x1}/z numerically
-    z = 0.4
-    f = FElem.li((0, 1))
-    d = f.dz()
-    fd = (f.eval(z + 1e-6) - f.eval(z - 1e-6)) / 2e-6
-    assert abs(d.eval(z) - fd) < 1e-6
-    val, _ = polylog_eval((1,), z)
-    assert abs(d.eval(z) - val / z) < 1e-12
-
-
-def test_eval_x0_powers():
-    f = FElem.li((0, 0))
-    assert abs(f.eval(0.5) - math.log(0.5) ** 2 / 2) < 1e-14
-
-
-def test_eval_empty_word_and_refused_word():
-    f = FElem.li((), Fraction(3)) + FElem.li((0, 1))
-    assert f.eval(0.5) == 3.0 + polylog_eval((0, 1), 0.5, alphabet=X)[0]
-    with pytest.raises(ValueError, match="cannot evaluate"):
-        FElem.li((1, 0)).eval(0.5)
 
 
 @pytest.mark.parametrize("z", [-0.5, 0.0, 0.3])

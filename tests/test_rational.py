@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from ncgen.ncpoly import NCPoly, words_up_to
 from ncgen.rational import (
     LinearRepresentation,
-    growth_condition_check,
     hankel_rank,
     rep_all_ones,
     rep_hypergeometric,
@@ -157,16 +156,6 @@ def test_truncated_series_and_json_roundtrip():
     for w in [(), (0,), (1,), (0, 1), (1, 0, 1)]:
         assert back.coefficient(w) == rep.coefficient(w)
 
-
-def test_growth_condition_verify_and_estimate():
-    rep = rep_hypergeometric(F(1, 4), F(1, 4), F(1, 3))
-    out = growth_condition_check(rep, depth=6, K=1, C=1)
-    assert out["pass"]
-    est = growth_condition_check(rep, depth=6)
-    assert est["heuristic"]
-    assert est["K"] <= 1.0
-    # the all-ones series has K ~ 1/L!^(1/L) -> 0 pointwise bound C=1, K=1
-    assert growth_condition_check(rep_all_ones(), depth=5, K=1, C=1)["pass"]
 
 
 def test_factorial_series_shuffle_square():

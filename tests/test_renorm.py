@@ -29,12 +29,10 @@ from ncgen.renorm import (
     bridge_check,
     bridge_series,
     chen_between,
-    chen_endpoint_sanity,
     const_log_identity,
     const_series,
     euler_maclaurin_constants,
     l_series,
-    mono_series,
     n_side_limit_series,
     rounding_tol,
     series_exp,
@@ -234,13 +232,6 @@ def test_n_side_matches_z_shuffle_image():
     assert n_side.max_abs_diff(target) < 1e-13
 
 
-def test_chen_endpoint_sanity():
-    errs = chen_endpoint_sanity()
-    assert len(errs) == 3
-    mags = [abs(e) for _, e in errs]
-    assert mags[0] > mags[1] > mags[2]
-    assert mags[2] < 0.2
-
 
 def test_euler_maclaurin_constants():
     out = euler_maclaurin_constants()
@@ -257,16 +248,6 @@ def test_const_series_and_log_identity():
     assert const_log_identity(10, 6)
     assert const_log_identity(25, 4)
 
-
-def test_mono_series_is_ogf_of_const():
-    z = 0.5
-    m = mono_series(z, 3)
-    assert abs(m.coeff(()) - 2.0) < 1e-14
-    for k in range(0, 4):
-        acc = 0.0
-        for n in range(0, 400):
-            acc += float(harmonic((1,) * k, n)) * z ** n
-        assert abs(m.coeff((1,) * k) - acc) < 1e-10, k
 
 
 @pytest.mark.parametrize("depth", range(4))

@@ -1,5 +1,5 @@
 """Checks over the source of ncgen itself, read with ast: every parameter
-is read, and every object has one name."""
+is read, every object has one name, and every import is read."""
 
 import ast
 import pathlib
@@ -42,6 +42,17 @@ def second_names(tree):
             for t in stmt.targets if isinstance(t, ast.Name)]
 
 
+def unread_imports(tree):
+    """Each name an import binds, in the module or in a def, that no name
+    in the module loads (import a.b binds a)."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for stmt in ast.walk(tree)
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            for name in (a.asname or a.name.split(".")[0] for a in stmt.names)
+            if name not in read]
+
+
 def test_the_scan_sees_every_module():
     assert {p.stem for p in MODULES} >= {"ncpoly", "hopf", "polylog",
                                          "negpolylog", "renorm", "cli"}
@@ -57,13 +68,24 @@ def test_no_module_binds_a_second_name(path):
     assert second_names(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_import_is_read(path):
+    assert unread_imports(_tree(path)) == []
+
+
 def test_the_scan_finds_what_it_looks_for():
     tree = ast.parse("def f(a, b, *c, d, **e):\n"
                      "    return [b for _ in (lambda x, y: y)(d, e)]\n"
                      "class K:\n"
                      "    def m(self, p):\n"
                      "        return 1\n"
-                     "Other = K\n")
+                     "Other = K\n"
+                     "import os.path, sys as system\n"
+                     "from math import factorial, comb as choose\n"
+                     "def g():\n"
+                     "    from itertools import accumulate\n"
+                     "    return os.sep, choose\n")
     assert sorted(unread_parameters(tree)) == [
         ("f", "a"), ("f", "c"), ("m", "p")]
     assert second_names(tree) == [("Other", "K")]
+    assert unread_imports(tree) == ["system", "factorial", "accumulate"]
