@@ -716,6 +716,8 @@ EXACT_OUTPUT = [
      "a99024b9719ca21651f09017d6bebd7812560e06982030a0b95b413a7618df0f"),
     (["verify", "duality", "--alphabet", "Y", "--depth", "5"],
      "3ae7eaee7010ad7749366009cca422d3c49a947d98a58780ab69caa0494393a2"),
+    (["eval", "hneg", "--word", "y3 y2 y1"],
+     "92de0b85bbe7785a49a48de23cff67e4fa6f62ed0cdc4c3569f1fa51cd8b5bbd"),
     (["--format", "json", "eval", "hneg", "--word", "y3 y2 y1"],
      "acd576f0c1c2cedb0334934024a2acac486b8904504a0cfac1e99747f9fc195c"),
     (["--format", "json", "eval", "hneg", "--word", "y4 y0 y1"],
