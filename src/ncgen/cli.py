@@ -431,8 +431,9 @@ def cmd_eval(args):
                   lambda p: ["H^-_{%s}(%d) = %s" % (p["word"], p["n"],
                                                     p["value"])])
             return 0
-        poly = h_neg(word)
-        payload = {"word": args.word, "polynomial": poly.to_json_dict()}
+        coefs = [str(c) for c in h_neg(word).coefs]
+        payload = {"word": args.word,
+                   "polynomial": {"var": "N", "coefs": coefs}}
         _emit(args, payload,
               lambda p: ["H^-_{%s}(N): coefs %s" %
                          (p["word"], p["polynomial"]["coefs"])])

@@ -91,16 +91,6 @@ class PolySystem:
         return NCPoly(X, {w: self.fliess_coefficient(w)
                           for w in words_up_to(X, depth)})
 
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "q0": [str(c) for c in self.q0],
-            "z0": self.z0,
-            "observation": self.observation.to_json_list(),
-            "fields": [[comp.to_json_list() for comp in fld.components]
-                       for fld in self.fields],
-        }
-
     @classmethod
     def from_json_dict(cls, d):
         m = d["m"]

@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
-from .words import X, Y, _grading, pi_x_word, pi_y_word, word_to_str, str_to_word
+from .words import X, Y, _grading, pi_x_word, pi_y_word, word_to_str
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -259,16 +259,6 @@ class NCPoly:
         items = [{"word": word_to_str(w, self.alphabet), "coef": str(c)}
                  for w, c in sorted(self.terms.items())]
         return {"terms": items}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        terms, alphabet = {}, None
-        for item in d["terms"]:
-            w, a = str_to_word(item["word"])
-            if alphabet is None and w:
-                alphabet = a
-            terms[w] = Fraction(item["coef"])
-        return cls(alphabet or X, terms)
 
 
 def _unit_series(P):

@@ -37,20 +37,18 @@ from math import comb, factorial
 
 from ncgen.polylog import QPoly, nested_sum
 
-T_VAR = "1/(1-z)"
-
-LAMBDA_T = QPoly([-1, 1], T_VAR)  # t - 1
+LAMBDA_T = QPoly([-1, 1])  # t - 1
 
 
 def theta0_t(p):
     """z d/dz on Q[t], t = 1/(1-z): derivation with theta0(t) = t^2 - t."""
-    return QPoly([0, -1, 1], T_VAR) * p.derivative()
+    return QPoly([0, -1, 1]) * p.derivative()
 
 
 @functools.cache
 def _li_neg(w):
     # Li^-_{y_s u} = theta0^s (lambda Li^-_u), looped from the last letter
-    out = QPoly.const(1, T_VAR)
+    out = QPoly.const(1)
     for s in reversed(w):
         out = LAMBDA_T * out
         for _ in range(s):
@@ -65,7 +63,7 @@ def li_neg(w):
 
 def p_neg(w):
     """P^-_w = Li^-_w / (1-z) = t * Li^-_w, the H-ordinary generating function."""
-    return QPoly([0, 1], T_VAR) * li_neg(w)
+    return QPoly([0, 1]) * li_neg(w)
 
 
 def p_neg_z_coefficient(w, N):
@@ -97,7 +95,7 @@ def _h_neg(w):
             coefs[i] += scale * c
         values = [b - a for a, b in zip(values, values[1:])]
         falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
-    return QPoly([Fraction(c, denom) for c in coefs], "N")
+    return QPoly([Fraction(c, denom) for c in coefs])
 
 
 def h_neg(w):
@@ -112,8 +110,8 @@ def h_neg_single_closed_form(m):
     """
     if m < 1:
         raise ValueError("closed form needs m >= 1")
-    Np1 = QPoly([1, 1], "N")
-    total = QPoly([], "N")
+    Np1 = QPoly([1, 1])
+    total = QPoly([])
     for k in range(m + 1):
         total = total + comb(m + 1, k) * bernoulli(k) * Np1 ** (m + 1 - k)
     return Fraction(1, m + 1) * total
@@ -145,7 +143,7 @@ def bernoulli(k):
 
 def bernoulli_poly(m):
     """Classical Bernoulli polynomial B_m(z) = sum_k C(m,k) B_k z^(m-k)."""
-    return QPoly([comb(m, j) * bernoulli(m - j) for j in range(m + 1)], "z")
+    return QPoly([comb(m, j) * bernoulli(m - j) for j in range(m + 1)])
 
 
 def li_neg_numerator_z(m):
@@ -158,7 +156,7 @@ def li_neg_numerator_z(m):
     # of degree m+1 (leading coefficient m!): r's coefficients are c's
     # reversed, and r(1-z) = s(z-1) for s(x) = r(-x), one Taylor shift
     r = li_neg((m,)).coefs[::-1]
-    return QPoly([-a if j % 2 else a for j, a in enumerate(r)], "z").shift(-1)
+    return QPoly([-a if j % 2 else a for j, a in enumerate(r)]).shift(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +165,12 @@ def li_neg_numerator_z(m):
 @functools.cache
 def _faulhaber_B_poly(w):
     if not w:
-        return QPoly.const(1, "z")
+        return QPoly.const(1)
     if len(w) == 1:
         return bernoulli_poly(w[0])
     if len(w) == 2:
         n1, n2 = w
-        total = QPoly([], "z")
+        total = QPoly([])
         for m in range(n1, n1 + n2 + 1):
             c = (Fraction(comb(m - 1, n1 - 1), factorial(m))
                  * bernoulli(n1 + n2 - m) / factorial(n1 + n2 - m))
@@ -227,10 +225,10 @@ def beta_poly(w):
     """
     w = tuple(w)
     if not w:
-        return QPoly([], "N")
+        return QPoly([])
     if any(n < 1 for n in w):
         raise ValueError("beta_poly needs positive indices")
-    total = QPoly([], "N")
+    total = QPoly([])
     prod = 1
     for k in range(1, len(w) + 1):
         prod *= w[k - 1]
@@ -274,7 +272,7 @@ def faulhaber_roundtrip(w):
             return False
     n1 = w[0]
     tail = faulhaber_B_poly(w[1:])
-    monomial = QPoly([0] * (n1 - 1) + [n1], "N")
+    monomial = QPoly([0] * (n1 - 1) + [n1])
     if beta.shift(1) - beta != monomial * tail:
         return False
     if beta.coefs[0] != 0:  # beta is not constant: its difference is not 0
@@ -290,7 +288,7 @@ def stuffle_morphism_check_neg(u, v):
     from ncgen.ncpoly import stuffle_words
     u, v = tuple(u), tuple(v)
     lhs = h_neg(u) * h_neg(v)
-    rhs = QPoly([], "N")
+    rhs = QPoly([])
     for w, c in stuffle_words(u, v).items():
         rhs = rhs + c * h_neg(w)
     return lhs == rhs

@@ -208,13 +208,12 @@ _ZERO = Fraction(0)
 
 class StatePoly:
     """Polynomial over Q in m variables: exponent tuple -> coef.  Results
-    keep the class and var (QPoly's variable, else None) of the left
-    operand; == and hash ignore var."""
+    keep the class of the left operand."""
 
-    __slots__ = ("m", "terms", "var")
+    __slots__ = ("m", "terms")
 
     def __init__(self, m, terms=None):
-        self.m, self.var = m, None
+        self.m = m
         self.terms = {}
         for e, c in (terms or {}).items():
             c = c if type(c) is Fraction else Fraction(c)
@@ -222,9 +221,9 @@ class StatePoly:
                 self.terms[tuple(e)] = c
 
     def _new(self, terms):
-        """A result of arithmetic: self's class and var, zeros dropped."""
+        """A result of arithmetic: self's class, zeros dropped."""
         P = object.__new__(type(self))
-        P.m, P.var = self.m, self.var
+        P.m = self.m
         P.terms = {e: c for e, c in terms.items() if c}
         return P
 
@@ -297,10 +296,6 @@ class StatePoly:
             return Fraction(0) if (len(q) and isinstance(q[0], Fraction)) else 0.0
         return total
 
-    def to_json_list(self):
-        return [{"exps": list(e), "coef": str(c)}
-                for e, c in sorted(self.terms.items())]
-
     @classmethod
     def from_json_list(cls, m, data):
         return cls(m, {tuple(item["exps"]): Fraction(item["coef"])
@@ -311,16 +306,16 @@ class StatePoly:
 
 
 class QPoly(StatePoly):
-    """StatePoly in one variable, named by var (a display/serialization
-    tag), read densely: coefs[i] is the coefficient of var^i."""
+    """StatePoly in one variable x, read densely: coefs[i] is the
+    coefficient of x^i.  The variable is N, t = 1/(1-z) or z, as the
+    docstring of the function that builds the polynomial says."""
 
-    def __init__(self, coefs, var="N"):
+    def __init__(self, coefs):
         super().__init__(1, {(i,): c for i, c in enumerate(coefs)})
-        self.var = var
 
     @classmethod
-    def const(cls, c, var="N"):
-        return cls([c], var)
+    def const(cls, c):
+        return cls([c])
 
     def degree(self):
         return max(self.terms, default=(-1,))[0]
@@ -345,17 +340,10 @@ class QPoly(StatePoly):
         cs = [p ** j * q ** (n - j) for j in range(n + 1)]  # c^j over q^n
         return QPoly([Fraction(sum(A[i] * math.comb(i, m) * cs[i - m]
                                    for i in range(m, n + 1)), D * q ** n)
-                      for m in range(n + 1)], self.var)
+                      for m in range(n + 1)])
 
     def derivative(self):
         return self.diff(0)
 
-    def to_json_dict(self):
-        return {"var": self.var, "coefs": [str(c) for c in self.coefs]}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls([Fraction(c) for c in d["coefs"]], d["var"])
-
     def __repr__(self):
-        return "QPoly(%s; %s)" % (list(self.coefs), self.var)
+        return "QPoly(%s)" % list(self.coefs)

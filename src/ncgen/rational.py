@@ -16,7 +16,7 @@ from operator import mul
 from ncgen.ncpoly import (
     NCPoly, _over_lcm, coproduct_shuffle, peel, words_up_to,
 )
-from ncgen.words import X, str_to_word, word_to_str
+from ncgen.words import X
 
 _ZERO = Fraction(0)
 
@@ -107,29 +107,6 @@ class LinearRepresentation:
             D, row = rows[u]
             lam = [x + c * y / D for x, y in zip(lam, row)]
         return LinearRepresentation(self.alphabet, lam, self.mu, self.eta)
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "alphabet": self.alphabet,
-            "lambda": [str(c) for c in self.lam],
-            "mu": {word_to_str((a,), self.alphabet):
-                   [[str(c) for c in row] for row in mat]
-                   for a, mat in sorted(self.mu.items())},
-            "eta": [str(c) for c in self.eta],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        alphabet = d.get("alphabet", X)
-        mu = {}
-        for key, mat in d["mu"].items():
-            (letter,), _ = str_to_word(key)
-            mu[letter] = [[Fraction(c) for c in row] for row in mat]
-        return cls(alphabet,
-                   [Fraction(c) for c in d["lambda"]],
-                   mu,
-                   [Fraction(c) for c in d["eta"]])
 
     def __repr__(self):
         return "LinearRepresentation(%s, n=%d)" % (self.alphabet, self.n)

@@ -191,12 +191,12 @@ def test_gate_04_negative_index_closed_forms():
             (1, 2): [0, 1, -9, 23, -23, 8],
         }
         for w, coefs in t_lists.items():
-            assert li_neg(w) == QPoly(coefs, "1/(1-z)"), w
+            assert li_neg(w) == QPoly(coefs), w
 
         def npoly(*factors):
-            out = QPoly([1], "N")
+            out = QPoly([1])
             for f in factors:
-                out = out * QPoly(f, "N")
+                out = out * QPoly(f)
             return out
 
         h_polys = {

@@ -1,5 +1,6 @@
 """Polynomial systems, Chen series, Fliess outputs, and their oracles."""
 
+import json
 import math
 import os
 import pathlib
@@ -225,18 +226,25 @@ def test_fliess_identity_checks_can_fail(monkeypatch):
 
 
 
-def test_system_json_roundtrip(tmp_path):
-    system = system_duffing(F(1), F(1, 2), F(1, 10), (F(1, 4), F(0)))
-    d = system.to_json_dict()
-    back = PolySystem.from_json_dict(d)
-    for w in words_up_to(X, 4):
-        assert back.fliess_coefficient(w) == system.fliess_coefficient(w)
-
-    import json
+def test_load_system_explicit_fields(tmp_path):
+    # the duffing builtin (a, b, c) = (1, 1/2, 1/10), written out by hand
+    # as an explicit system on (q1, q2 = q1')
     p = tmp_path / "system.json"
-    p.write_text(json.dumps(d))
+    p.write_text("""{
+      "m": 2,
+      "q0": ["1/4", "0"],
+      "observation": [{"exps": [1, 0], "coef": "1"}],
+      "fields": [
+        [[{"exps": [0, 1], "coef": "1"}],
+         [{"exps": [1, 0], "coef": "-1"}, {"exps": [3, 0], "coef": "-1/2"},
+          {"exps": [0, 1], "coef": "-1/10"}]],
+        [[], [{"exps": [0, 0], "coef": "1"}]]
+      ]
+    }""")
     loaded = load_system(str(p))
-    assert loaded.fliess_coefficient((0, 1)) == system.fliess_coefficient((0, 1))
+    system = system_duffing(F(1), F(1, 2), F(1, 10), (F(1, 4), F(0)))
+    for w in words_up_to(X, 4):
+        assert loaded.fliess_coefficient(w) == system.fliess_coefficient(w)
 
     p2 = tmp_path / "builtin.json"
     p2.write_text(json.dumps({

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -16,7 +15,7 @@ from ncgen.ncpoly import (
     NCPoly, _linear, conc, coproduct_stuffle, residual_left,
     residual_right, shuffle_words, stuffle, words_up_to,
 )
-from ncgen.words import X, Y, lyndon_words, weight, word_key
+from ncgen.words import X, Y, lyndon_words, word_key
 
 
 def W(w, alphabet=X, c=1):

@@ -36,7 +36,7 @@ F = Fraction
 
 
 def qp(*coefs):
-    return QPoly(coefs, T_VAR := "1/(1-z)")
+    return QPoly(coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def qp(*coefs):
 def test_theta0_on_powers():
     # theta0(t^k) = k (t^(k+1) - t^k)
     assert theta0_t(qp(0, 0, 1)) == qp(0, 0, -2, 2)
-    assert theta0_t(qp(5)) == QPoly([], "1/(1-z)")
+    assert theta0_t(qp(5)) == QPoly([])
     # derivation sanity: theta0(lambda^2) = 2 lambda theta0(lambda)
     lam_sq = LAMBDA_T * LAMBDA_T
     assert theta0_t(lam_sq) == 2 * LAMBDA_T * theta0_t(LAMBDA_T)
@@ -65,9 +65,9 @@ def test_li_neg_known_coefficient_lists():
 
 
 def test_li_neg_empty_and_y0_powers():
-    assert li_neg(()) == QPoly([1], "1/(1-z)")
+    assert li_neg(()) == QPoly([1])
     lam = LAMBDA_T
-    acc = QPoly([1], "1/(1-z)")
+    acc = QPoly([1])
     for r in range(1, 6):
         acc = acc * lam
         assert li_neg((0,) * r) == acc
@@ -101,7 +101,7 @@ def test_li_neg_degree_and_vanishing_order():
                 carry = carry + c
                 out.append(carry)
             out.reverse()
-            q = QPoly(out[1:], "1/(1-z)")
+            q = QPoly(out[1:])
 
 
 def test_li_neg_single_letter_eulerian_numerators():
@@ -118,18 +118,10 @@ def test_li_neg_two_letter_product_identity():
     for m in range(0, 5):
         for n in range(0, 5):
             lhs = li_neg((m, n))
-            rhs = QPoly([], "1/(1-z)")
+            rhs = QPoly([])
             for l in range(m + 1):
                 rhs = rhs + comb(m, l) * li_neg((l,)) * li_neg((m + n - l,))
             assert lhs == rhs, (m, n)
-
-
-def test_qpoly_json_roundtrip():
-    p = li_neg((2, 1))
-    d = p.to_json_dict()
-    assert d["var"] == "1/(1-z)"
-    assert d["coefs"] == ["0", "1", "-11", "31", "-33", "12"]
-    assert QPoly.from_json_dict(d) == p
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +129,9 @@ def test_qpoly_json_roundtrip():
 
 def _npoly_from_factors(*factors):
     """Product of polynomials given as coefficient lists in N."""
-    out = QPoly([1], "N")
+    out = QPoly([1])
     for f in factors:
-        out = out * QPoly(f, "N")
+        out = out * QPoly(f)
     return out
 
 
@@ -198,7 +190,7 @@ def test_p_neg_generating_function():
     for w in [(1,), (2,), (1, 1), (2, 1), (0,), (1, 0)]:
         for n in range(0, 25):
             assert p_neg_z_coefficient(w, n) == nested_sum(w, n), (w, n)
-    assert p_neg((1,)) == QPoly([0, 0, -1, 1], "1/(1-z)")
+    assert p_neg((1,)) == QPoly([0, 0, -1, 1])
 
 
 def test_p_neg_has_no_constant_term():
@@ -239,15 +231,15 @@ def test_bernoulli_numbers():
 
 
 def test_bernoulli_polynomials():
-    assert bernoulli_poly(1) == QPoly([F(-1, 2), 1], "z")
-    assert bernoulli_poly(2) == QPoly([F(1, 6), -1, 1], "z")
-    assert bernoulli_poly(3) == QPoly([0, F(1, 2), F(-3, 2), 1], "z")
+    assert bernoulli_poly(1) == QPoly([F(-1, 2), 1])
+    assert bernoulli_poly(2) == QPoly([F(1, 6), -1, 1])
+    assert bernoulli_poly(3) == QPoly([0, F(1, 2), F(-3, 2), 1])
 
 
 def test_faulhaber_B_closed_forms():
-    assert faulhaber_B_poly((1, 1)) == QPoly([F(1, 3), -1, F(1, 2)], "z")
+    assert faulhaber_B_poly((1, 1)) == QPoly([F(1, 3), -1, F(1, 2)])
     assert faulhaber_B_poly((2, 1)) == QPoly(
-        [F(-1, 12), F(5, 6), F(-3, 2), F(2, 3)], "z")
+        [F(-1, 12), F(5, 6), F(-3, 2), F(2, 3)])
     assert b_constant((1, 1)) == F(1, 3)
     assert b_constant((2, 1)) == F(-1, 12)
     assert b_constant((2, 2)) == F(1, 90)
@@ -263,7 +255,7 @@ def test_faulhaber_difference_equation_closed_form():
         B = faulhaber_B_poly(w)
         tail = faulhaber_B_poly(w[1:])
         n1 = w[0]
-        mono = QPoly([F(0)] * (n1 - 1) + [F(n1)], "z")
+        mono = QPoly([F(0)] * (n1 - 1) + [F(n1)])
         assert B.shift(1) - B == mono * tail, w
 
 

@@ -287,8 +287,8 @@ _z_inside = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_fractions, max_size=4), st.integers(0, 5), _z_inside)
 def test_qpoly_power_is_the_repeated_product(coefs, k, x):
-    p = QPoly(coefs, "z")
-    product = QPoly([1], "z")
+    p = QPoly(coefs)
+    product = QPoly([1])
     for _ in range(k):
         product = product * p
     assert p ** k == product
@@ -302,10 +302,10 @@ def test_qpoly_power_is_the_repeated_product(coefs, k, x):
 def test_qpoly_shift_is_the_composition(coefs, c):
     # p(x + c) against sum a_i (x + c)^i in QPoly arithmetic; c not an
     # integer, negative c included
-    p = QPoly(coefs, "N")
-    want = QPoly([], "N")
+    p = QPoly(coefs)
+    want = QPoly([])
     for i, a in enumerate(coefs):
-        want = want + a * QPoly([c, 1], "N") ** i
+        want = want + a * QPoly([c, 1]) ** i
     assert p.shift(c) == want
 
 
@@ -347,25 +347,21 @@ def _terms_of(m):
                            max_size=5)
 
 
-_VARS = st.sampled_from(["N", "z", "1/(1-z)"])
-
-
-def _poly(m, terms, var):
+def _poly(m, terms):
     """StatePoly in m variables, or for m = 1 the QPoly of the same terms."""
     if m > 1:
         return StatePoly(m, terms)
     degree = max(terms, default=(-1,))[0]
-    return QPoly([terms.get((i,), 0) for i in range(degree + 1)], var)
+    return QPoly([terms.get((i,), 0) for i in range(degree + 1)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.data(), _fractions, st.integers(0, 3))
 def test_state_poly_arithmetic_equals_the_naive_loops(m, data, c, k):
-    # zero, scalar and (for m = 1) mixed-var operands; every result keeps
-    # the left operand's class and var, and the reference's term order
-    # (StatePoly.eval sums in it)
-    p = _poly(m, data.draw(_terms_of(m)), data.draw(_VARS))
-    q = _poly(m, data.draw(_terms_of(m)), data.draw(_VARS))
+    # zero and scalar operands; every result keeps the left operand's
+    # class, and the reference's term order (StatePoly.eval sums in it)
+    p = _poly(m, data.draw(_terms_of(m)))
+    q = _poly(m, data.draw(_terms_of(m)))
     ta, tb = dict(p.terms), dict(q.terms)
     power = {(0,) * m: Fraction(1)}
     for _ in range(k):
@@ -387,9 +383,9 @@ def test_state_poly_arithmetic_equals_the_naive_loops(m, data, c, k):
     for expr, terms in want.items():
         got = eval(expr)
         assert list(got.terms.items()) == list(terms.items()), expr
-        assert type(got) is type(p) and got.var == p.var, expr
-        assert got == _poly(m, terms, "N") and hash(got) == hash(
-            _poly(m, terms, "N")), expr
+        assert type(got) is type(p), expr
+        assert got == _poly(m, terms) and hash(got) == hash(
+            _poly(m, terms)), expr
     if m == 1:
         assert p.derivative() == p.diff(0)
     x = tuple(Fraction(i + 2, 3) for i in range(m))
@@ -398,23 +394,22 @@ def test_state_poly_arithmetic_equals_the_naive_loops(m, data, c, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_fractions, max_size=6), st.integers(0, 3), _VARS,
+@given(st.lists(_fractions, max_size=6), st.integers(0, 3),
        st.sampled_from([0, 3, -2, Fraction(-5, 7), Fraction(2, 3), 0.37,
                         -1.5, 2.0]))
-def test_qpoly_dense_view_json_and_horner(coefs, pad, var, x):
-    p = QPoly(coefs + [0] * pad, var)
+def test_qpoly_dense_view_json_and_horner(coefs, pad, x):
+    p = QPoly(coefs + [0] * pad)
     trimmed = list(coefs)
     while trimmed and not trimmed[-1]:
         trimmed.pop()
     assert p.coefs == tuple(Fraction(c) for c in trimmed)
     assert p.degree() == len(trimmed) - 1
-    back = QPoly(p.coefs, var)
-    assert back == p and back.degree() == p.degree() and back.var == var
-    # both JSON round trips: the CLI's {"var", "coefs"} and the system
-    # files' [{"exps", "coef"}]
-    d = QPoly.from_json_dict(p.to_json_dict())
-    assert d == p and d.var == var and d.coefs == p.coefs
-    assert StatePoly.from_json_list(1, p.to_json_list()) == p
+    back = QPoly(p.coefs)
+    assert back == p and back.degree() == p.degree()
+    # a system file's [{"exps", "coef"}], zero coefficients included
+    assert StatePoly.from_json_list(1, [
+        {"exps": [i], "coef": str(c)}
+        for i, c in enumerate(coefs + [0] * pad)]) == p
     # Horner's order: exact at int and Fraction, bit for bit at float
     got, want = p.eval(x), _naive_horner(trimmed, x)
     assert type(got) is type(want) and repr(got) == repr(want)

@@ -38,7 +38,6 @@ from ncgen.renorm import (
     series_exp,
     y1_factor,
     z_shuffle_series,
-    z_side_series,
     z_stuffle_series,
     zeta_numeric,
     zeta_shuffle_reg,

@@ -1,13 +1,18 @@
 """Checks over the source of ncgen itself, read with ast: every parameter
-is read, every object has one name, and every import is read."""
+is read, every object has one name, and every import is read (the last
+also over the tests and the demos)."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ncgen"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ncgen"
 MODULES = sorted(SRC.glob("*.py"))
+# perfbench is left out: its worker imports numpy and scipy unread, as
+# part of the set-up it times
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def _tree(path):
@@ -56,6 +61,7 @@ def unread_imports(tree):
 def test_the_scan_sees_every_module():
     assert {p.stem for p in MODULES} >= {"ncpoly", "hopf", "polylog",
                                          "negpolylog", "renorm", "cli"}
+    assert {p.parent.name for p in SCRIPTS} == {"tests", "demos"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -68,7 +74,9 @@ def test_no_module_binds_a_second_name(path):
     assert second_names(_tree(path)) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS, ids=[p.stem for p in MODULES]
+    + ["%s/%s" % (p.parent.name, p.stem) for p in SCRIPTS])
 def test_every_import_is_read(path):
     assert unread_imports(_tree(path)) == []
 
